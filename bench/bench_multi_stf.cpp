@@ -4,9 +4,9 @@
 // Algorithm-2 packing with one migration stream per STF disk) against
 // the sequential baseline (each member planned alone, plans executed
 // back to back). The paper has no multi-STF experiment, so `sequential`
-// is the in-repo reference; at batch 1 the joint planner is
-// byte-identical to the single-STF planner, and the row should match
-// Figure 11's 256 KB-packet FastPR point within run-to-run noise.
+// is the in-repo reference; batch 1 is the single-STF planner, and the
+// row should match Figure 11's 256 KB-packet FastPR point within
+// run-to-run noise.
 #include <algorithm>
 
 #include "bench_common.h"
@@ -32,7 +32,7 @@ BatchRun run_batch(const agent::TestbedOptions& opts,
   BatchRun out;
   agent::Testbed tb(opts, code);
   const auto stf_nodes = tb.flag_stf_batch(batch);
-  auto planner = tb.make_multi_planner(scenario);
+  auto planner = tb.make_planner(scenario);
   const auto plan =
       joint ? planner.plan_fastpr() : planner.plan_sequential();
   auto report = tb.execute(plan);
@@ -51,29 +51,6 @@ BatchRun run_batch(const agent::TestbedOptions& opts,
   out.rounds = static_cast<int>(plan.rounds.size());
   report.repair.predicted = tb.predict_rounds(plan, scenario);
   out.report = std::move(report.repair);
-  out.ok = true;
-  return out;
-}
-
-/// Batch-1 reference through the original single-STF planner (the
-/// joint planner must match it within noise).
-BatchRun run_single(const agent::TestbedOptions& opts,
-                    const ec::ErasureCode& code,
-                    core::Scenario scenario) {
-  BatchRun out;
-  agent::Testbed tb(opts, code);
-  const auto stf = tb.flag_stf();
-  auto planner = tb.make_planner(scenario);
-  const auto plan = planner.plan_fastpr();
-  auto report = tb.execute(plan);
-  if (!report.success || !tb.verify(plan)) {
-    LOG_ERROR("single-STF reference run failed");
-    return out;
-  }
-  out.chunks = tb.layout().load(stf);
-  out.wall = report.repair.total_seconds;
-  out.per_chunk = report.per_chunk();
-  out.rounds = static_cast<int>(plan.rounds.size());
   out.ok = true;
   return out;
 }
@@ -133,20 +110,6 @@ int main() {
                    std::to_string(joint.chunks),
                    Table::fmt(joint.per_chunk, 3)});
       fig.attach_json("joint_report", joint.report.to_json());
-      if (batch == 1) {
-        // Degenerate-batch sanity: the original single-STF planner on
-        // the same layout, for a noise-level diff against `joint`.
-        const auto single = run_single(opts, code, scenario);
-        if (single.ok) {
-          fig.attach_json(
-              "single_planner_reference",
-              std::string("{\"wall_seconds\":") +
-                  Table::fmt(single.wall, 4) +
-                  ",\"rounds\":" + std::to_string(single.rounds) +
-                  ",\"per_chunk\":" + Table::fmt(single.per_chunk, 4) +
-                  "}");
-        }
-      }
     }
     fig.end_section();
   }

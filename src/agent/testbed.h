@@ -19,7 +19,6 @@
 #include "cluster/cluster_state.h"
 #include "cluster/stripe_layout.h"
 #include "core/fastpr.h"
-#include "core/multi_stf.h"
 #include "core/repair_throttler.h"
 #include "core/replan_trigger.h"
 #include "ec/erasure_code.h"
@@ -200,11 +199,9 @@ class Testbed {
   std::vector<cluster::NodeId> flag_stf_nodes(
       std::vector<cluster::NodeId> nodes);
 
-  /// Builds a planner bound to this testbed's layout/cluster.
+  /// Builds a planner bound to this testbed's layout/cluster, covering
+  /// every currently flagged node.
   core::FastPrPlanner make_planner(core::Scenario scenario);
-
-  /// Builds a multi-STF batch planner over every currently flagged node.
-  core::MultiStfPlanner make_multi_planner(core::Scenario scenario);
 
   /// Executes a plan with real data movement; wall-clock timed. The
   /// returned report's `repair` breakdown has stf_bw_utilization filled

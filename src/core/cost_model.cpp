@@ -212,20 +212,4 @@ double CostModel::round_time(int cr, int cm,
   return std::max(recon, migrate);
 }
 
-double CostModel::round_time_multi(int cr,
-                                   const std::vector<int>& cm_per_stf) const {
-  return round_time_multi(cr, cm_per_stf, RepairStrategy::kFanIn);
-}
-
-double CostModel::round_time_multi(int cr,
-                                   const std::vector<int>& cm_per_stf,
-                                   RepairStrategy strategy) const {
-  int slowest = 0;
-  for (int cm : cm_per_stf) {
-    FASTPR_CHECK(cm >= 0);
-    slowest = std::max(slowest, cm);
-  }
-  return round_time(cr, slowest, strategy);
-}
-
 }  // namespace fastpr::core

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "net/topology.h"
 
@@ -168,18 +167,12 @@ class CostModel {
 
   /// Modelled wall time of one executed round repairing cr chunks by
   /// reconstruction while cm migrate concurrently: max(tr(cr), cm·tm).
-  /// This is what telemetry::PredictedRound diffs measured rounds
-  /// against (DESIGN.md §5c).
+  /// For a batch (DESIGN.md §8) the members' migration streams run on
+  /// independent disks, so cm is the busiest member's count. This is
+  /// what telemetry::PredictedRound diffs measured rounds against
+  /// (DESIGN.md §5c).
   double round_time(int cr, int cm) const;
   double round_time(int cr, int cm, RepairStrategy strategy) const;
-
-  /// Multi-STF round time (DESIGN.md §8): the B migration streams run on
-  /// independent disks, so the round ends when the slowest stream and
-  /// the reconstruction both finish — max(tr(cr), max_s cm_s·tm).
-  /// Equals round_time(cr, cm_per_stf[0]) for a single-element vector.
-  double round_time_multi(int cr, const std::vector<int>& cm_per_stf) const;
-  double round_time_multi(int cr, const std::vector<int>& cm_per_stf,
-                          RepairStrategy strategy) const;
 
  private:
   /// bn as repair actually experiences it: net_bw × repair_bw_fraction.

@@ -1,4 +1,10 @@
-// FastPR planner facade: cluster metadata + STF node in, RepairPlan out.
+// FastPR planner facade: cluster metadata + flagged STF nodes in,
+// RepairPlan out.
+//
+// Plans every node flagged soon-to-fail as one batch (DESIGN.md §8):
+// Algorithm 1 runs over the union of the members' chunks and Algorithm 2
+// gives each member's disk its own migration stream. The paper's single
+// STF node is the batch of one.
 //
 // Also builds the two baseline plans the paper evaluates against:
 //  * migration-only — every chunk relocated off the STF node;
@@ -7,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "cluster/cluster_state.h"
 #include "cluster/stripe_layout.h"
@@ -67,19 +74,31 @@ struct PlannerOptions {
 
 class FastPrPlanner {
  public:
-  /// The STF node must already be flagged in `cluster`. Both references
-  /// must outlive the planner.
+  /// Plans for every node flagged soon-to-fail in `cluster` (at least
+  /// one). Both references must outlive the planner.
   FastPrPlanner(const cluster::StripeLayout& layout,
                 const cluster::ClusterState& cluster,
                 const PlannerOptions& options);
 
-  /// The coupled migration+reconstruction plan (Algorithms 1 and 2).
+  /// The flagged STF nodes, ascending.
+  const std::vector<cluster::NodeId>& batch() const { return batch_; }
+
+  /// The coupled migration+reconstruction plan (Algorithms 1 and 2):
+  /// Algorithm 1 over the union of the batch's chunks, Algorithm 2 with
+  /// one migration quota per member sharing each round.
   RepairPlan plan_fastpr();
 
-  /// Baseline: one reconstruction set per round, no migration.
+  /// Baseline for a batch: each member planned alone and the plans
+  /// executed back to back (concatenated rounds, shared cross-round
+  /// destination memory). Equals plan_fastpr for a batch of one.
+  RepairPlan plan_sequential();
+
+  /// Baseline: one reconstruction set per round, no migration. Single
+  /// STF node only.
   RepairPlan plan_reconstruction_only();
 
   /// Baseline: migrate everything, destinations spread for balance.
+  /// Single STF node only.
   RepairPlan plan_migration_only();
 
   /// Mid-repair degradation (DESIGN.md §7): the STF node died after
@@ -87,6 +106,7 @@ class FastPrPlanner {
   /// `failed` lists every other node declared dead during execution.
   /// Plans pure reactive reconstruction of the remaining STF chunks,
   /// drawing helpers and destinations only from nodes still alive.
+  /// Covers the first batch member only.
   ReactiveReplan plan_reactive(
       const std::vector<cluster::ChunkRef>& already_repaired,
       const std::vector<cluster::NodeId>& failed);
@@ -101,44 +121,70 @@ class FastPrPlanner {
   /// rounds carry zero straggler reads by construction; chunks whose
   /// stripes need a straggler fall back to the full list with the
   /// stragglers ordered last in every adjacency. Never sacrifices
-  /// repairability — only read placement.
+  /// repairability — only read placement. Covers the first batch member
+  /// only.
   RepairPlan plan_fastpr_remaining(
       const std::vector<cluster::ChunkRef>& already_repaired,
       const std::vector<cluster::NodeId>& deprioritized);
 
-  /// The §III analysis instantiated for this cluster (U = chunks on the
-  /// STF node, M = storage-node count, bandwidths from the cluster).
+  /// The §III analysis instantiated for this cluster (B = batch size,
+  /// U = chunks across the batch, M = storage-node count, bandwidths
+  /// from the cluster; Equations 1–6 at B = 1).
   CostModel cost_model() const;
 
   /// §IV-D: seed the planner with precomputed reconstruction sets
   /// (e.g. from a ReconSetCache) instead of running Algorithm 1 now.
-  /// The sets must exactly cover the STF node's chunks and respect the
-  /// scattered destination capacity; both are checked.
+  /// The sets must exactly cover the batch's reconstructable chunks and
+  /// respect the scattered destination capacity; both are checked.
   void use_reconstruction_sets(
       std::vector<std::vector<cluster::ChunkRef>> sets);
 
-  /// Stats of the last find_reconstruction_sets run.
+  /// Stats of the last Algorithm 1 run.
   const ReconSetStats& recon_stats() const { return recon_stats_; }
 
  private:
   std::vector<cluster::NodeId> source_nodes() const;
   std::vector<cluster::NodeId> dest_nodes() const;
   /// Largest per-round repair count for which a scattered destination
-  /// matching is guaranteed (Hall): |dest| - (n-1).
+  /// matching is guaranteed (Hall): |dest| - (n-1). A stripe with b STF
+  /// chunks excludes its n-b surviving holders plus at most b-1
+  /// destinations used earlier in the plan — n-1 for any batch.
   int scattered_round_capacity() const;
 
   ReconSetOptions effective_recon_options() const;
+  SchedulerOptions scheduler_options() const;
+  ModelParams model_params(int stf_chunks, int batch) const;
+  /// The single-STF model of one member (plan_sequential's per-member
+  /// schedule, and the single-STF entry points).
+  CostModel member_cost_model(cluster::NodeId stf) const;
 
-  /// Algorithm 1 output, computed once and shared by plan_fastpr and
-  /// plan_reconstruction_only (both partition the same chunk set).
+  /// The batch's chunks in member order, with the chunks whose stripes
+  /// the batch itself left with fewer than k' healthy helpers moved to
+  /// `forced` — reconstruction is impossible, so they are scheduled as
+  /// migrations (order-stable partition; never fires for one member).
+  std::vector<cluster::ChunkRef> searchable_chunks(
+      const std::vector<cluster::NodeId>& members,
+      std::vector<cluster::ChunkRef>* forced) const;
+
+  /// Algorithm 1 output over the batch's searchable chunks, computed
+  /// once and shared by plan_fastpr and plan_reconstruction_only.
   const std::vector<std::vector<cluster::ChunkRef>>& recon_sets();
+
+  /// Assigns sources and destinations to scheduled rounds; `members`
+  /// are the STF nodes the rounds repair.
+  RepairPlan place(const std::vector<ScheduledRound>& rounds,
+                   const std::vector<cluster::NodeId>& members,
+                   const std::vector<cluster::NodeId>* deprioritized =
+                       nullptr) const;
 
   const cluster::StripeLayout& layout_;
   const cluster::ClusterState& cluster_;
   PlannerOptions options_;
-  cluster::NodeId stf_;
+  std::vector<cluster::NodeId> batch_;
+  cluster::NodeId stf_;  // batch_.front()
   ReconSetStats recon_stats_;
   std::vector<std::vector<cluster::ChunkRef>> cached_sets_;
+  std::vector<cluster::ChunkRef> forced_;
   bool sets_ready_ = false;
 };
 

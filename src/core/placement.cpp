@@ -37,34 +37,17 @@ ChunkRef chunk_of_stripe_on(const StripeLayout& layout,
 
 }  // namespace
 
-RepairRound assign_round(const StripeLayout& layout, NodeId stf,
+RepairRound assign_round(const StripeLayout& layout,
+                         const std::vector<NodeId>& stf_batch,
                          const std::vector<NodeId>& source_nodes,
                          const std::vector<NodeId>& dest_nodes,
                          Scenario scenario, int k_repair,
                          const ScheduledRound& round, int* standby_cursor,
                          const ec::ErasureCode* code,
-                         bool balance_destinations,
+                         bool balance_destinations, PlacedOverlay* placed,
+                         int helper_reads_per_node,
                          const net::Topology* topology,
                          const std::vector<NodeId>* deprioritized) {
-  return assign_round_multi(layout, {stf}, source_nodes, dest_nodes,
-                            scenario, k_repair, round, standby_cursor, code,
-                            balance_destinations, nullptr, 1, topology,
-                            deprioritized);
-}
-
-RepairRound assign_round_multi(const StripeLayout& layout,
-                               const std::vector<NodeId>& stf_batch,
-                               const std::vector<NodeId>& source_nodes,
-                               const std::vector<NodeId>& dest_nodes,
-                               Scenario scenario, int k_repair,
-                               const ScheduledRound& round,
-                               int* standby_cursor,
-                               const ec::ErasureCode* code,
-                               bool balance_destinations,
-                               PlacedOverlay* placed,
-                               int helper_reads_per_node,
-                               const net::Topology* topology,
-                               const std::vector<NodeId>* deprioritized) {
   FASTPR_CHECK(!stf_batch.empty());
   FASTPR_CHECK(helper_reads_per_node >= 1);
   const bool rack_aware = topology != nullptr && !topology->is_flat();

@@ -1,7 +1,7 @@
 // Turns a scheduled round into executable tasks (§IV-A):
 //  * source selection — a bipartite matching assigns each reconstructed
-//    chunk k helper reads on k distinct healthy nodes (at most one read
-//    per node per round);
+//    chunk k helper reads on k distinct healthy nodes (at most
+//    helper_reads_per_node reads per node per round, default one);
 //  * destination selection — scattered repair matches each repaired
 //    stripe to a healthy node that holds none of its chunks (Hall's
 //    theorem guarantees a perfect matching when M - n >= cm + cr);
@@ -58,6 +58,11 @@ class PlacedOverlay {
 };
 
 /// Assigns sources and destinations for one scheduled round.
+/// `stf_batch`: the STF nodes being repaired (DESIGN.md §8); every
+/// member is excluded from sources and destinations, and each
+/// migration's src is the member storing the chunk (a one-node batch
+/// reads from that node unconditionally; reactive rounds pass kNoNode
+/// and never migrate).
 /// `source_nodes`: healthy nodes eligible for helper reads.
 /// `dest_nodes`: scattered → healthy storage nodes; hot-standby → spares.
 /// `standby_cursor`: round-robin state across rounds (hot-standby only).
@@ -66,31 +71,9 @@ class PlacedOverlay {
 /// `balance_destinations`: pick the scattered destination matching that
 /// minimizes total destination load (min-cost matching over current
 /// chunk counts) instead of an arbitrary maximum matching.
-/// `deprioritized` (optional, DESIGN.md §11): nodes whose helper reads
-/// the matching should avoid when any alternative exists — degraded
-/// links reported by the bandwidth replan trigger. A preference, never
-/// a feasibility constraint: a chunk whose only eligible helpers are
-/// deprioritized still gets them. Null/empty leaves the assignment
-/// bit-identical.
-RepairRound assign_round(const cluster::StripeLayout& layout,
-                         cluster::NodeId stf,
-                         const std::vector<cluster::NodeId>& source_nodes,
-                         const std::vector<cluster::NodeId>& dest_nodes,
-                         Scenario scenario, int k_repair,
-                         const ScheduledRound& round, int* standby_cursor,
-                         const ec::ErasureCode* code = nullptr,
-                         bool balance_destinations = false,
-                         const net::Topology* topology = nullptr,
-                         const std::vector<cluster::NodeId>* deprioritized =
-                             nullptr);
-
-/// Multi-STF generalization (DESIGN.md §8): every node in `stf_batch` is
-/// excluded from sources and destinations, each migration's src is the
-/// batch member actually storing the chunk, `placed` (optional) vetoes
-/// destinations already used for the same stripe earlier in the plan and
-/// records this round's assignments, and source nodes may each serve
-/// `helper_reads_per_node` reads. A one-node batch with no overlay and
-/// one read per node is exactly assign_round.
+/// `placed` (optional) vetoes destinations already used for the same
+/// stripe earlier in the plan and records this round's assignments.
+/// `helper_reads_per_node`: reads each source node may serve this round.
 ///
 /// `topology` (optional, DESIGN.md §11) activates rack-aware placement
 /// when it names more than one rack: scattered destinations additionally
@@ -102,7 +85,14 @@ RepairRound assign_round(const cluster::StripeLayout& layout,
 /// single-rack topologies take the exact legacy code path, bit-identical
 /// plans included. Hot-standby spares stay exempt from the rack
 /// invariant (they live in an overflow rack of their own).
-RepairRound assign_round_multi(
+///
+/// `deprioritized` (optional, DESIGN.md §11): nodes whose helper reads
+/// the matching should avoid when any alternative exists — degraded
+/// links reported by the bandwidth replan trigger. A preference, never
+/// a feasibility constraint: a chunk whose only eligible helpers are
+/// deprioritized still gets them. Null/empty leaves the assignment
+/// bit-identical.
+RepairRound assign_round(
     const cluster::StripeLayout& layout,
     const std::vector<cluster::NodeId>& stf_batch,
     const std::vector<cluster::NodeId>& source_nodes,

@@ -123,7 +123,7 @@ ReactiveResult ReactivePlanner::plan_chunks(
     ScheduledRound round;
     round.reconstruct = set;
     result.plan.rounds.push_back(
-        assign_round(layout_, cluster::kNoNode, healthy, dests,
+        assign_round(layout_, {cluster::kNoNode}, healthy, dests,
                      options_.scenario, options_.k_repair, round,
                      &standby_cursor, options_.code));
   }

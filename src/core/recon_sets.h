@@ -31,8 +31,8 @@ struct ReconSetOptions {
   /// 0 = no extra cap.
   int max_set_size = 0;
   /// Helper reads one node may serve per round (DESIGN.md §8). The paper
-  /// fixes this at 1; the multi-STF planner can relax it to trade round
-  /// count against per-node read contention.
+  /// fixes this at 1; a planner may relax it to trade round count
+  /// against per-node read contention (placement honors the same cap).
   int helper_reads_per_node = 1;
   /// Rack topology (DESIGN.md §11). When it names more than one rack,
   /// each chunk's helper candidates are rack-interleaved (round-robin

@@ -55,9 +55,9 @@ struct RepairRound {
 
 struct RepairPlan {
   cluster::NodeId stf_node = cluster::kNoNode;
-  /// Multi-STF batch plans (DESIGN.md §8) list every STF node covered,
-  /// with stf_node == stf_nodes.front(). Single-STF planners leave this
-  /// empty; consumers treat that as a batch of {stf_node}.
+  /// Every STF node the plan covers (DESIGN.md §8), with
+  /// stf_node == stf_nodes.front(). Reactive replans leave this empty;
+  /// consumers treat that as a batch of {stf_node}.
   std::vector<cluster::NodeId> stf_nodes;
   std::vector<RepairRound> rounds;
 

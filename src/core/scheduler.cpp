@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "util/check.h"
 
@@ -22,89 +23,6 @@ RepairStrategy resolve_strategy(StrategyChoice choice,
 
 std::vector<ScheduledRound> schedule_repair(
     std::vector<std::vector<cluster::ChunkRef>> recon_sets,
-    const CostModel& model, const SchedulerOptions& options) {
-  std::vector<ScheduledRound> rounds;
-  if (recon_sets.empty()) return rounds;
-  for (const auto& set : recon_sets) FASTPR_CHECK(!set.empty());
-
-  // Line 1: sort by size, descending (stable for determinism).
-  std::stable_sort(recon_sets.begin(), recon_sets.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.size() > b.size();
-                   });
-
-  // Line 2: l points at the largest unscheduled set, u at the smallest.
-  size_t l = 0;
-  size_t u = recon_sets.size() - 1;
-
-  for (;;) {
-    ScheduledRound round;
-    round.reconstruct = recon_sets[l];
-    const int cr = static_cast<int>(round.reconstruct.size());
-    round.strategy = resolve_strategy(options.strategy, model, cr);
-    int cm = options.fixed_migration_quota >= 0
-                 ? options.fixed_migration_quota
-                 : model.migration_quota(cr, round.strategy);
-    if (options.max_round_repairs > 0) {
-      // Keep cr + cm within the destination-matching guarantee.
-      cm = std::min(cm, std::max(0, options.max_round_repairs - cr));
-    }
-
-    // Chunks remaining in sets l+1..u.
-    size_t remaining = 0;
-    for (size_t i = l + 1; i <= u && u >= l + 1; ++i) {
-      remaining += recon_sets[i].size();
-    }
-
-    if (remaining <= static_cast<size_t>(cm)) {
-      // Lines 5–8: everything left fits in this round's migration quota.
-      for (size_t i = l + 1; i <= u && u >= l + 1; ++i) {
-        for (auto c : recon_sets[i]) round.migrate.push_back(c);
-      }
-      rounds.push_back(std::move(round));
-      break;
-    }
-
-    // Line 9: largest x with sum_{i=x..u} |R_i| > cm. Scanning from the
-    // smallest set upward, stop as soon as the suffix total exceeds cm.
-    size_t suffix = 0;
-    size_t x = u;
-    for (size_t i = u; i > l; --i) {
-      suffix += recon_sets[i].size();
-      if (suffix > static_cast<size_t>(cm)) {
-        x = i;
-        break;
-      }
-    }
-
-    // Lines 10–12: move all of R_{x+1..u} plus a top-up slice of R_x.
-    size_t below_x = 0;
-    for (size_t i = x + 1; i <= u && u >= x + 1; ++i) {
-      below_x += recon_sets[i].size();
-      for (auto c : recon_sets[i]) round.migrate.push_back(c);
-    }
-    const size_t slice = static_cast<size_t>(cm) - below_x;
-    FASTPR_CHECK(slice < recon_sets[x].size());
-    auto& rx = recon_sets[x];
-    for (size_t t = 0; t < slice; ++t) {
-      round.migrate.push_back(rx.back());
-      rx.pop_back();
-    }
-
-    rounds.push_back(std::move(round));
-
-    // Lines 13–14.
-    l += 1;
-    u = x;
-    FASTPR_CHECK(l < recon_sets.size());
-    if (l > u) break;  // defensive; the break above should fire first
-  }
-
-  return rounds;
-}
-
-std::vector<ScheduledRound> schedule_repair_multi(
-    std::vector<std::vector<cluster::ChunkRef>> recon_sets,
     const CostModel& model,
     const std::function<cluster::NodeId(cluster::ChunkRef)>& owner_of,
     const std::vector<cluster::NodeId>& stf_batch,
@@ -115,10 +33,10 @@ std::vector<ScheduledRound> schedule_repair_multi(
   for (const auto& set : recon_sets) FASTPR_CHECK(!set.empty());
 
   while (!recon_sets.empty()) {
-    // Line 1 generalized: the sets only ever shrink from the tail, so an
-    // already-sorted sequence passes through unchanged (this keeps the
-    // one-node batch byte-identical to schedule_repair, which sorts
-    // exactly once).
+    // Line 1: sort by size, descending (stable for determinism). With
+    // one STF node the sets only ever shrink from the tail, so after the
+    // first round the sort leaves them as they are — the paper's
+    // sort-once; a batch may shrink a middle set and re-sorts.
     std::stable_sort(recon_sets.begin(), recon_sets.end(),
                      [](const auto& a, const auto& b) {
                        return a.size() > b.size();
@@ -129,8 +47,9 @@ std::vector<ScheduledRound> schedule_repair_multi(
     const int cr = static_cast<int>(round.reconstruct.size());
     round.strategy = resolve_strategy(options.strategy, model, cr);
 
-    // Per-STF migration quota (each disk drains independently) plus the
-    // shared destination-capacity cap on the whole round.
+    // Per-STF migration quota cm = tr(cr)/tm (each disk drains
+    // independently) plus the shared destination-capacity cap on the
+    // whole round.
     const int quota = options.fixed_migration_quota >= 0
                           ? options.fixed_migration_quota
                           : model.migration_quota(cr, round.strategy);
@@ -140,9 +59,9 @@ std::vector<ScheduledRound> schedule_repair_multi(
                          ? std::max(0, options.max_round_repairs - cr)
                          : std::numeric_limits<int>::max();
 
-    // Mark migrations smallest-set-first, back to front — the suffix the
-    // single-STF Algorithm 2 would slice — skipping chunks whose owner's
-    // disk quota is already spent.
+    // Lines 5–12: mark migrations smallest-set-first, back to front —
+    // all of R_{x+1..u} plus a top-up slice off the back of R_x —
+    // skipping chunks whose owner's disk quota is already spent.
     std::vector<std::vector<char>> marked(recon_sets.size());
     std::vector<size_t> marked_count(recon_sets.size(), 0);
     for (size_t i = recon_sets.size(); i-- > 1 && total_left > 0;) {
@@ -159,8 +78,8 @@ std::vector<ScheduledRound> schedule_repair_multi(
       }
     }
 
-    // Emit in the single-path order: fully migrated sets ascending,
-    // forward; then partially migrated sets ascending, back to front.
+    // Emit fully migrated sets ascending, forward; then partially
+    // migrated sets ascending, back to front (the order R_x is sliced).
     for (size_t i = 1; i < recon_sets.size(); ++i) {
       if (marked_count[i] != recon_sets[i].size()) continue;
       for (auto c : recon_sets[i]) round.migrate.push_back(c);
@@ -175,7 +94,7 @@ std::vector<ScheduledRound> schedule_repair_multi(
     }
     rounds.push_back(std::move(round));
 
-    // Drop the reconstructed set and every migrated chunk.
+    // Lines 13–14: drop the reconstructed set and every migrated chunk.
     std::vector<std::vector<cluster::ChunkRef>> next;
     next.reserve(recon_sets.size());
     for (size_t i = 1; i < recon_sets.size(); ++i) {
@@ -194,6 +113,15 @@ std::vector<ScheduledRound> schedule_repair_multi(
     recon_sets.swap(next);
   }
   return rounds;
+}
+
+std::vector<ScheduledRound> schedule_repair(
+    std::vector<std::vector<cluster::ChunkRef>> recon_sets,
+    const CostModel& model, const SchedulerOptions& options) {
+  return schedule_repair(
+      std::move(recon_sets), model,
+      [](cluster::ChunkRef) { return cluster::kNoNode; }, {cluster::kNoNode},
+      options);
 }
 
 }  // namespace fastpr::core

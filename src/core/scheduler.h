@@ -42,24 +42,24 @@ struct SchedulerOptions {
 RepairStrategy resolve_strategy(StrategyChoice choice,
                                 const CostModel& model, int cr);
 
-/// Runs Algorithm 2. `recon_sets` is consumed by value (the algorithm
-/// splits sets). The model supplies the per-round migration quota.
-std::vector<ScheduledRound> schedule_repair(
-    std::vector<std::vector<cluster::ChunkRef>> recon_sets,
-    const CostModel& model, const SchedulerOptions& options = {});
-
-/// Multi-STF Algorithm 2 (DESIGN.md §8): the sets cover the union of a
-/// batch of STF nodes' chunks; each STF node's disk is an independent
+/// Runs Algorithm 2 for a batch of STF nodes (DESIGN.md §8). The sets
+/// cover the union of the batch's chunks and are consumed by value (the
+/// algorithm splits sets). Each STF node's disk is an independent
 /// migration stream, so every node in `stf_batch` gets its OWN per-round
-/// quota cm = tr(cr)/tm while `options.max_round_repairs` still bounds
-/// the round's total cr + cm (shared destination capacity). `owner_of`
-/// maps a chunk to the STF node storing it (must be in `stf_batch`).
-/// With a one-node batch this reproduces schedule_repair byte-for-byte.
-std::vector<ScheduledRound> schedule_repair_multi(
+/// quota cm = tr(cr)/tm from the model, while
+/// `options.max_round_repairs` still bounds the round's total cr + cm
+/// (shared destination capacity). `owner_of` maps a chunk to the STF
+/// node storing it (must be in `stf_batch`).
+std::vector<ScheduledRound> schedule_repair(
     std::vector<std::vector<cluster::ChunkRef>> recon_sets,
     const CostModel& model,
     const std::function<cluster::NodeId(cluster::ChunkRef)>& owner_of,
     const std::vector<cluster::NodeId>& stf_batch,
     const SchedulerOptions& options = {});
+
+/// The paper's single-STF Algorithm 2: the batch of one.
+std::vector<ScheduledRound> schedule_repair(
+    std::vector<std::vector<cluster::ChunkRef>> recon_sets,
+    const CostModel& model, const SchedulerOptions& options = {});
 
 }  // namespace fastpr::core

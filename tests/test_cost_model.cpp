@@ -267,7 +267,7 @@ TEST(CostModel, ChainMigrationQuotaAndRoundTime) {
                    1000 * m.tm());
   EXPECT_DOUBLE_EQ(m.round_time(16, 0), m.tr(16));
   EXPECT_DOUBLE_EQ(
-      m.round_time_multi(16, {3, 7}, RepairStrategy::kChain),
+      m.round_time(16, std::max({3, 7}), RepairStrategy::kChain),
       std::max(m.tr_chain(16), 7 * m.tm()));
 }
 

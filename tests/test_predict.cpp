@@ -1,7 +1,6 @@
 // Failure prediction substrate: trace shapes and predictor quality on
 // the synthetic population (the paper's >=95%-accuracy premise).
 #include "predict/predictor.h"
-#include "predict/trained_predictor.h"
 #include "predict/trace_generator.h"
 
 #include <gtest/gtest.h>
@@ -169,57 +168,6 @@ TEST(Predictor, DeadDisksExcludedFromEvaluation) {
   const auto result = evaluate(p, traces, cfg.horizon_days + 1.0, 10.0);
   EXPECT_EQ(result.true_positives + result.false_negatives, 0);
   EXPECT_GT(result.true_negatives + result.false_positives, 0);
-}
-
-TEST(TrainedPredictor, RequiresTraining) {
-  TrainedLogisticPredictor p;
-  Rng rng(20);
-  auto cfg = default_config();
-  const auto t = generate_trace(0, false, false, 0.0, cfg, rng);
-  EXPECT_THROW(p.score(t, 10.0), CheckFailure);
-}
-
-TEST(TrainedPredictor, LearnsHighAccuracyOnHeldOutDisks) {
-  // Train on one population, evaluate on a fresh one (different seed):
-  // the SGD model must generalize to the paper's >=95% premise.
-  Rng train_rng(21), test_rng(22);
-  const auto cfg = default_config();
-  const auto train_set = generate_traces(cfg, train_rng);
-  const auto test_set = generate_traces(cfg, test_rng);
-
-  TrainedLogisticPredictor model;
-  TrainedLogisticPredictor::TrainConfig tc;
-  model.train(train_set, tc);
-  ASSERT_TRUE(model.trained());
-
-  const auto result = evaluate(model, test_set, /*as_of_day=*/70.0,
-                               /*lookahead_days=*/15.0);
-  EXPECT_GE(result.accuracy(), 0.95);
-  EXPECT_LE(result.false_alarm_rate(), 0.05);
-  EXPECT_GE(result.recall(), 0.6);
-}
-
-TEST(TrainedPredictor, LearnsPositiveErrorWeights) {
-  // The model must discover that error counts predict failure: the
-  // level features carry positive weight, the bias is negative.
-  Rng rng(23);
-  const auto traces = generate_traces(default_config(), rng);
-  TrainedLogisticPredictor model;
-  model.train(traces, {});
-  EXPECT_LT(model.weights()[0], 0.0);  // healthy prior
-  EXPECT_GT(model.weights()[1], 0.0);  // reallocated sectors level
-}
-
-TEST(TrainedPredictor, NoPeekingPastAsOfDay) {
-  Rng rng(24);
-  const auto cfg = default_config();
-  const auto traces = generate_traces(cfg, rng);
-  TrainedLogisticPredictor model;
-  model.train(traces, {});
-  Rng rng2(25);
-  const auto failing = generate_trace(0, true, false, 80.0, cfg, rng2);
-  EXPECT_LT(model.score(failing, 10.0), model.decision_threshold());
-  EXPECT_GE(model.score(failing, 79.0), model.decision_threshold());
 }
 
 }  // namespace

@@ -27,7 +27,7 @@
 
 #include "cluster/cluster_state.h"
 #include "cluster/stripe_layout.h"
-#include "core/multi_stf.h"
+#include "core/fastpr.h"
 #include "core/recon_sets.h"
 #include "core/repair_plan.h"
 #include "matching/brute_force.h"
@@ -209,7 +209,7 @@ TEST(AlgorithmOneProperties, MultiStfUnionSetsFeasibleAndMaximal) {
 }
 
 TEST(AlgorithmOneProperties, HelperCapacityTwoSetsFeasibleAndMaximal) {
-  // DESIGN.md §8: the multi-STF planner may relax helper_reads_per_node.
+  // DESIGN.md §8: the planner may relax helper_reads_per_node.
   // The oracle models capacity 2 by duplicating every healthy node.
   for (int s = 0; s < seed_count(); ++s) {
     const uint64_t seed = seed_base() + static_cast<uint64_t>(s);
@@ -237,6 +237,28 @@ TEST(AlgorithmOneProperties, HelperCapacityTwoSetsFeasibleAndMaximal) {
     }
     expect_feasible_and_maximal(layout, healthy, k_repair,
                                 /*reads_per_node=*/2, /*cap=*/2, sets);
+
+    // The planner places the sets under the same capacity: a
+    // hot-standby RS(6,4) plan built with two reads per node must be
+    // matchable and pass validation at two reads per node.
+    Rng plan_rng(seed);
+    const auto plan_layout = cluster::StripeLayout::random(
+        /*num_nodes=*/12, /*chunks_per_stripe=*/6, /*num_stripes=*/30,
+        plan_rng);
+    cluster::ClusterState state(
+        12, /*num_hot_standby=*/3,
+        cluster::BandwidthProfile{MBps(100), Gbps(1)});
+    state.set_health(most_loaded(plan_layout, 1).front(),
+                     cluster::NodeHealth::kSoonToFail);
+    core::PlannerOptions plan_options;
+    plan_options.scenario = core::Scenario::kHotStandby;
+    plan_options.k_repair = 4;
+    plan_options.chunk_bytes = static_cast<double>(MB(4));
+    plan_options.recon.helper_reads_per_node = 2;
+    core::FastPrPlanner planner(plan_layout, state, plan_options);
+    EXPECT_NO_THROW(core::validate_plan(
+        planner.plan_fastpr(), plan_layout, state, plan_options.k_repair,
+        /*code=*/nullptr, /*helper_reads_per_node=*/2));
   }
 }
 
@@ -374,7 +396,7 @@ TEST_P(PlacementPropertyTest, PlanNeverColocatesStripeChunks) {
       options.scenario = scenario;
       options.k_repair = 4;
       options.chunk_bytes = static_cast<double>(MB(4));
-      core::MultiStfPlanner planner(layout, state, options);
+      core::FastPrPlanner planner(layout, state, options);
       for (const auto& plan :
            {planner.plan_fastpr(), planner.plan_sequential()}) {
         core::validate_plan(plan, layout, state, options.k_repair);
@@ -453,7 +475,7 @@ TEST_P(PlacementPropertyTest, RackedPlanKeepsStripesRackDisjoint) {
       options.k_repair = 4;
       options.chunk_bytes = static_cast<double>(MB(4));
       options.topology = &topo;
-      core::MultiStfPlanner planner(layout, state, options);
+      core::FastPrPlanner planner(layout, state, options);
       for (const auto& plan :
            {planner.plan_fastpr(), planner.plan_sequential()}) {
         core::validate_plan(plan, layout, state, options.k_repair,

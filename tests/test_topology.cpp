@@ -17,7 +17,6 @@
 #include "cluster/stripe_layout.h"
 #include "core/cost_model.h"
 #include "core/fastpr.h"
-#include "core/multi_stf.h"
 #include "core/repair_plan.h"
 #include "ec/rs_code.h"
 #include "net/topology.h"
@@ -141,7 +140,7 @@ TEST(TopologyCostModel, CrossRackTrafficIsChargedThePenalty) {
   EXPECT_DOUBLE_EQ(migration_racked.tr(3.0), flat.tr(3.0));
 }
 
-/// Field-by-field plan equality (same as test_multi_stf's helper).
+/// Field-by-field plan equality.
 void expect_plans_identical(const core::RepairPlan& a,
                             const core::RepairPlan& b) {
   ASSERT_EQ(a.rounds.size(), b.rounds.size());

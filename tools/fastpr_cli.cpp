@@ -32,7 +32,7 @@
 //   --stf=<id[,id...]>           # execute only: flag these nodes as
 //                                # the STF batch instead of the single
 //                                # most-loaded node; two or more ids
-//                                # run the joint multi-STF planner
+//                                # are planned as one batch
 //                                # (DESIGN.md §8) and print per-STF
 //                                # progress.
 //   --repair-strategy=fanin|chain|auto
@@ -521,14 +521,7 @@ int cmd_execute(const Spec& spec, const std::string& fault_plan_path,
         std::vector<cluster::NodeId>(stf_batch.begin(), stf_batch.end()));
   }
 
-  core::RepairPlan plan;
-  if (batch.size() > 1) {
-    auto planner = tb.make_multi_planner(spec.scenario);
-    plan = planner.plan_fastpr();
-  } else {
-    auto planner = tb.make_planner(spec.scenario);
-    plan = planner.plan_fastpr();
-  }
+  const core::RepairPlan plan = tb.make_planner(spec.scenario).plan_fastpr();
   for (const cluster::NodeId stf : batch) {
     std::printf("STF node %d holds %d chunks\n", stf,
                 tb.layout().load(stf));
