@@ -28,6 +28,23 @@ std::string chunk_str(ChunkRef chunk) {
          std::to_string(chunk.index) + ")";
 }
 
+/// Fills what both replan hooks are told: the chunks already handled
+/// (completions ∪ unrepaired) and every node failed so far, ascending.
+template <typename Request>
+void fill_replan_state(const ExecutionReport& report,
+                       const std::unordered_set<NodeId>& failed_nodes,
+                       Request& request) {
+  request.handled.reserve(report.completions.size() +
+                          report.unrepaired.size());
+  for (const auto& done : report.completions) {
+    request.handled.push_back(done.chunk);
+  }
+  request.handled.insert(request.handled.end(), report.unrepaired.begin(),
+                         report.unrepaired.end());
+  request.failed_nodes.assign(failed_nodes.begin(), failed_nodes.end());
+  std::sort(request.failed_nodes.begin(), request.failed_nodes.end());
+}
+
 }  // namespace
 
 Coordinator::Coordinator(NodeId id, net::Transport& transport,
@@ -813,17 +830,7 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
       ++report.replans;
       coord_counter("coordinator.replans").add();
       ReplanRequest request;
-      request.handled.reserve(report.completions.size() +
-                              report.unrepaired.size());
-      for (const auto& done : report.completions) {
-        request.handled.push_back(done.chunk);
-      }
-      for (const auto& chunk : report.unrepaired) {
-        request.handled.push_back(chunk);
-      }
-      request.failed_nodes.assign(failed_nodes_.begin(),
-                                  failed_nodes_.end());
-      std::sort(request.failed_nodes.begin(), request.failed_nodes.end());
+      fill_replan_state(report, failed_nodes_, request);
       ReplanResult result = options_.replan(request);
       rounds.resize(round_idx + 1);
       for (auto& extra : result.plan.rounds) {
@@ -867,18 +874,7 @@ ExecutionReport Coordinator::execute(const core::RepairPlan& plan) {
         coord_counter("coordinator.bandwidth_replans").add();
         BandwidthReplanRequest request;
         request.worst_ratio = worst;
-        request.handled.reserve(report.completions.size() +
-                                report.unrepaired.size());
-        for (const auto& done : report.completions) {
-          request.handled.push_back(done.chunk);
-        }
-        for (const auto& chunk : report.unrepaired) {
-          request.handled.push_back(chunk);
-        }
-        request.failed_nodes.assign(failed_nodes_.begin(),
-                                    failed_nodes_.end());
-        std::sort(request.failed_nodes.begin(),
-                  request.failed_nodes.end());
+        fill_replan_state(report, failed_nodes_, request);
         std::sort(slow.begin(), slow.end());
         slow.erase(std::unique(slow.begin(), slow.end()), slow.end());
         request.slow_nodes = std::move(slow);

@@ -279,8 +279,14 @@ std::vector<NodeId> Testbed::flag_stf_batch(int count) {
 
 std::vector<NodeId> Testbed::flag_stf_nodes(std::vector<NodeId> nodes) {
   FASTPR_CHECK(!nodes.empty());
+  std::unordered_set<NodeId> seen;
   for (NodeId node : nodes) {
-    FASTPR_CHECK(node >= 0 && node < layout_->num_nodes());
+    FASTPR_CHECK_MSG(node >= 0 && node < layout_->num_nodes(),
+                     "STF node " << node << " is not a storage node");
+    FASTPR_CHECK_MSG(seen.insert(node).second,
+                     "STF node " << node << " listed twice");
+  }
+  for (NodeId node : nodes) {
     cluster_->set_health(node, cluster::NodeHealth::kSoonToFail);
   }
 

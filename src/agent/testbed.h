@@ -195,7 +195,9 @@ class Testbed {
   std::vector<cluster::NodeId> flag_stf_batch(int count);
 
   /// Flags an explicit batch (e.g. from `fastpr_cli execute --stf`).
-  /// Fault-plan node=stf entries resolve to the first member.
+  /// Throws CheckFailure, flagging nothing, when an id is not a storage
+  /// node or appears twice. Fault-plan node=stf entries resolve to the
+  /// first member.
   std::vector<cluster::NodeId> flag_stf_nodes(
       std::vector<cluster::NodeId> nodes);
 

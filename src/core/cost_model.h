@@ -70,12 +70,6 @@ struct ModelParams {
   /// (InprocOptions.chain_hop_overhead_seconds) so measurement and
   /// model agree; see bench_pipelining.
   double chain_hop_overhead_seconds = 0;
-  /// Fraction of bn the repair traffic is allowed to use (DESIGN.md
-  /// §10): under SLO-aware throttling, repair sees only its leased
-  /// share of each NIC while foreground keeps the rest. Scales every
-  /// network term; disk terms are unscaled (the throttler gates sends,
-  /// not reads/writes). 1.0 = unthrottled, exactly Equations 1–6.
-  double repair_bw_fraction = 1.0;
   /// Cross-rack oversubscription factor f of the topology (DESIGN.md
   /// §11): a transfer crossing racks sees bn / f under the
   /// saturated-uplink worst case the closed forms assume. Set via
@@ -156,7 +150,6 @@ class CostModel {
   /// Per-chunk variants (what every paper figure plots).
   double predictive_time_per_chunk() const;
   double reactive_time_per_chunk() const;
-  double migration_only_time_per_chunk() const;
 
   /// Scheduler hook (§IV-C): chunks to migrate during one reconstruction
   /// round of cr chunks, cm = tr(cr)/tm, floored to whole chunks. The
@@ -175,9 +168,6 @@ class CostModel {
   double round_time(int cr, int cm, RepairStrategy strategy) const;
 
  private:
-  /// bn as repair actually experiences it: net_bw × repair_bw_fraction.
-  double repair_net_bw() const;
-
   /// Cross-rack multipliers on network terms (DESIGN.md §11):
   /// 1 + (f - 1) · cross_rack_fraction, exactly 1.0 on a flat network.
   double helper_penalty() const;

@@ -1,7 +1,6 @@
 #include "core/fastpr.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_set>
 
 #include "core/placement.h"
@@ -113,12 +112,11 @@ int FastPrPlanner::scattered_round_capacity() const {
 
 ReconSetOptions FastPrPlanner::effective_recon_options() const {
   ReconSetOptions opts = options_.recon;
-  if (options_.scenario == Scenario::kScattered) {
-    const int cap = scattered_round_capacity();
-    opts.max_set_size =
-        opts.max_set_size > 0 ? std::min(opts.max_set_size, cap) : cap;
-  }
-  if (opts.topology == nullptr) opts.topology = options_.topology;
+  opts.max_set_size = options_.scenario == Scenario::kScattered
+                          ? scattered_round_capacity()
+                          : 0;
+  opts.topology = options_.topology;
+  opts.deprioritized.clear();
   return opts;
 }
 
@@ -143,7 +141,6 @@ ModelParams FastPrPlanner::model_params(int stf_chunks, int batch) const {
   params.scenario = options_.scenario;
   params.packet_bytes = options_.packet_bytes;
   params.chain_hop_overhead_seconds = options_.chain_hop_overhead_seconds;
-  params.repair_bw_fraction = options_.repair_bw_fraction;
   if (options_.topology != nullptr && !options_.topology->is_flat()) {
     // Rack-disjoint stripes put every helper in a foreign rack; rack-
     // aware migrations stay in-rack while hot-standby spares live in an
@@ -187,34 +184,15 @@ std::vector<ChunkRef> FastPrPlanner::searchable_chunks(
   return searchable;
 }
 
-void FastPrPlanner::use_reconstruction_sets(
-    std::vector<std::vector<ChunkRef>> sets) {
-  // Exact-cover check against the batch's reconstructable chunks.
-  forced_.clear();
-  std::unordered_set<ChunkRef, cluster::ChunkRefHash> expected;
-  for (ChunkRef c : searchable_chunks(batch_, &forced_)) expected.insert(c);
-  size_t covered = 0;
-  const size_t cap =
-      options_.scenario == Scenario::kScattered
-          ? static_cast<size_t>(scattered_round_capacity())
-          : std::numeric_limits<size_t>::max();
-  const size_t total = expected.size();
-  for (const auto& set : sets) {
-    FASTPR_CHECK_MSG(set.size() <= cap,
-                     "precomputed set exceeds destination capacity");
-    for (ChunkRef c : set) {
-      FASTPR_CHECK_MSG(expected.erase(c) == 1,
-                       "precomputed sets repeat a chunk or cover a "
-                       "foreign one");
-      ++covered;
-    }
+std::vector<ChunkRef> FastPrPlanner::remaining_chunks(
+    const std::vector<ChunkRef>& handled_chunks) const {
+  const std::unordered_set<ChunkRef, cluster::ChunkRefHash> handled(
+      handled_chunks.begin(), handled_chunks.end());
+  std::vector<ChunkRef> remaining;
+  for (ChunkRef chunk : layout_.chunks_on(stf_)) {
+    if (handled.count(chunk) == 0) remaining.push_back(chunk);
   }
-  FASTPR_CHECK_MSG(covered == total, "precomputed sets cover "
-                                         << covered << " of " << total
-                                         << " chunks");
-  cached_sets_ = std::move(sets);
-  recon_stats_ = {};
-  sets_ready_ = true;
+  return remaining;
 }
 
 const std::vector<std::vector<ChunkRef>>& FastPrPlanner::recon_sets() {
@@ -246,8 +224,7 @@ RepairPlan FastPrPlanner::place(const std::vector<ScheduledRound>& rounds,
     plan.rounds.push_back(assign_round(
         layout_, members, sources, dests, options_.scenario,
         options_.k_repair, round, &standby_cursor, options_.code,
-        options_.balance_destinations, &placed,
-        options_.recon.helper_reads_per_node, options_.topology,
+        options_.balance_destinations, &placed, options_.topology,
         deprioritized));
   }
   return plan;
@@ -334,12 +311,7 @@ RepairPlan FastPrPlanner::plan_migration_only() {
 ReactiveReplan FastPrPlanner::plan_reactive(
     const std::vector<ChunkRef>& already_repaired,
     const std::vector<NodeId>& failed) {
-  std::unordered_set<ChunkRef, cluster::ChunkRefHash> handled(
-      already_repaired.begin(), already_repaired.end());
-  std::vector<ChunkRef> remaining;
-  for (ChunkRef chunk : layout_.chunks_on(stf_)) {
-    if (handled.count(chunk) == 0) remaining.push_back(chunk);
-  }
+  const std::vector<ChunkRef> remaining = remaining_chunks(already_repaired);
 
   ReactiveReplan out;
   out.plan.stf_node = stf_;
@@ -362,9 +334,7 @@ ReactiveReplan FastPrPlanner::plan_reactive(
   // Reactive rounds keep the helper rack-spreading preference; the rack
   // destination invariant is best-effort in degraded mode (survival
   // beats placement quality once data is at risk).
-  if (reactive.recon.topology == nullptr) {
-    reactive.recon.topology = options_.topology;
-  }
+  reactive.recon.topology = options_.topology;
   ReactivePlanner planner(layout_, cluster_, reactive);
   ReactiveResult result = planner.plan_chunks(remaining, dead);
   out.plan = std::move(result.plan);
@@ -378,12 +348,7 @@ RepairPlan FastPrPlanner::plan_fastpr_remaining(
     const std::vector<ChunkRef>& already_repaired,
     const std::vector<NodeId>& deprioritized) {
   FASTPR_TRACE_SPAN("planner.plan_fastpr_remaining", "planner");
-  std::unordered_set<ChunkRef, cluster::ChunkRefHash> handled(
-      already_repaired.begin(), already_repaired.end());
-  std::vector<ChunkRef> remaining;
-  for (ChunkRef chunk : layout_.chunks_on(stf_)) {
-    if (handled.count(chunk) == 0) remaining.push_back(chunk);
-  }
+  std::vector<ChunkRef> remaining = remaining_chunks(already_repaired);
 
   RepairPlan plan;
   plan.stf_node = stf_;

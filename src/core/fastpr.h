@@ -50,10 +50,6 @@ struct PlannerOptions {
   /// name); keep equal to the testbed's charge so kAuto decides on the
   /// same numbers the execution will show.
   double chain_hop_overhead_seconds = 0;
-  /// Fraction of the NIC rate repair may use (ModelParams field of the
-  /// same name). Set to the throttler's budget fraction so migration
-  /// quotas and round predictions match the execution's leased pace.
-  double repair_bw_fraction = 1.0;
   /// Optional erasure code: when set, the matching honors the code's
   /// per-chunk helper counts and candidate sets (LRC locality). Must
   /// outlive the planner.
@@ -68,6 +64,9 @@ struct PlannerOptions {
   /// destination spreading). Null or single-rack: flat planning,
   /// bit-identical to the legacy path. Must outlive the planner.
   const net::Topology* topology = nullptr;
+  /// Algorithm 1 knobs: callers choose `optimize` and
+  /// `chunk_group_size`; the planner derives `max_set_size`, `topology`
+  /// and `deprioritized` itself.
   ReconSetOptions recon;
   SchedulerOptions sched;
 };
@@ -132,13 +131,6 @@ class FastPrPlanner {
   /// from the cluster; Equations 1–6 at B = 1).
   CostModel cost_model() const;
 
-  /// §IV-D: seed the planner with precomputed reconstruction sets
-  /// (e.g. from a ReconSetCache) instead of running Algorithm 1 now.
-  /// The sets must exactly cover the batch's reconstructable chunks and
-  /// respect the scattered destination capacity; both are checked.
-  void use_reconstruction_sets(
-      std::vector<std::vector<cluster::ChunkRef>> sets);
-
   /// Stats of the last Algorithm 1 run.
   const ReconSetStats& recon_stats() const { return recon_stats_; }
 
@@ -165,6 +157,11 @@ class FastPrPlanner {
   std::vector<cluster::ChunkRef> searchable_chunks(
       const std::vector<cluster::NodeId>& members,
       std::vector<cluster::ChunkRef>* forced) const;
+
+  /// The first member's chunks not in `handled`, in layout order (the
+  /// replan entry points' work list).
+  std::vector<cluster::ChunkRef> remaining_chunks(
+      const std::vector<cluster::ChunkRef>& handled) const;
 
   /// Algorithm 1 output over the batch's searchable chunks, computed
   /// once and shared by plan_fastpr and plan_reconstruction_only.

@@ -1,7 +1,7 @@
 // Turns a scheduled round into executable tasks (§IV-A):
 //  * source selection — a bipartite matching assigns each reconstructed
-//    chunk k helper reads on k distinct healthy nodes (at most
-//    helper_reads_per_node reads per node per round, default one);
+//    chunk k helper reads on k distinct healthy nodes (one read per
+//    node per round);
 //  * destination selection — scattered repair matches each repaired
 //    stripe to a healthy node that holds none of its chunks (Hall's
 //    theorem guarantees a perfect matching when M - n >= cm + cr);
@@ -73,7 +73,6 @@ class PlacedOverlay {
 /// chunk counts) instead of an arbitrary maximum matching.
 /// `placed` (optional) vetoes destinations already used for the same
 /// stripe earlier in the plan and records this round's assignments.
-/// `helper_reads_per_node`: reads each source node may serve this round.
 ///
 /// `topology` (optional, DESIGN.md §11) activates rack-aware placement
 /// when it names more than one rack: scattered destinations additionally
@@ -100,7 +99,6 @@ RepairRound assign_round(
     int k_repair, const ScheduledRound& round, int* standby_cursor,
     const ec::ErasureCode* code = nullptr,
     bool balance_destinations = false, PlacedOverlay* placed = nullptr,
-    int helper_reads_per_node = 1,
     const net::Topology* topology = nullptr,
     const std::vector<cluster::NodeId>* deprioritized = nullptr);
 

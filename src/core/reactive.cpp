@@ -1,7 +1,7 @@
 #include "core/reactive.h"
 
-#include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "core/placement.h"
 #include "util/check.h"
@@ -107,13 +107,14 @@ ReactiveResult ReactivePlanner::plan_chunks(
 
   // Matched chunks: partition into reconstruction sets, one round each.
   ReconSetOptions recon = options_.recon;
+  recon.max_set_size = 0;
   if (options_.scenario == Scenario::kScattered) {
-    const int cap = static_cast<int>(dests.size()) -
-                    (layout_.chunks_per_stripe() - 1);
-    FASTPR_CHECK_MSG(cap >= 1, "cluster too small for scattered repair");
-    recon.max_set_size =
-        recon.max_set_size > 0 ? std::min(recon.max_set_size, cap) : cap;
+    recon.max_set_size = static_cast<int>(dests.size()) -
+                         (layout_.chunks_per_stripe() - 1);
+    FASTPR_CHECK_MSG(recon.max_set_size >= 1,
+                     "cluster too small for scattered repair");
   }
+  recon.deprioritized.clear();
   const auto sets = find_reconstruction_sets_for(
       matchable, layout_, healthy, options_.k_repair, recon, nullptr,
       options_.code);

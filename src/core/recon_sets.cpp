@@ -22,19 +22,17 @@ class MatchContext {
  public:
   MatchContext(const StripeLayout& layout, NodeId stf,
                const std::vector<NodeId>& healthy, int k_repair,
-               int max_set_size, int helper_reads_per_node,
-               ReconSetStats* stats, const ec::ErasureCode* code,
+               int max_set_size, ReconSetStats* stats,
+               const ec::ErasureCode* code,
                const net::Topology* topology = nullptr,
                const std::vector<NodeId>* deprioritized = nullptr)
       : layout_(layout),
         stf_(stf),
         k_(k_repair),
         max_set_size_(max_set_size),
-        reads_(helper_reads_per_node),
         stats_(stats),
         code_(code),
         healthy_(healthy) {
-    FASTPR_CHECK(helper_reads_per_node >= 1);
     left_of_node_.reserve(healthy.size());
     for (size_t i = 0; i < healthy.size(); ++i) {
       FASTPR_CHECK(stf == cluster::kNoNode || healthy[i] != stf);
@@ -50,10 +48,9 @@ class MatchContext {
   int left_count() const { return left_count_; }
   int k() const { return k_; }
 
-  /// Fresh matcher over the source nodes with the configured per-node
-  /// helper-read capacity.
+  /// Fresh matcher over the source nodes.
   IncrementalMatcher make_matcher() const {
-    return IncrementalMatcher(left_count_, reads_);
+    return IncrementalMatcher(left_count_);
   }
 
   /// Helper chunks this particular chunk's repair fetches.
@@ -61,12 +58,11 @@ class MatchContext {
     return code_ != nullptr ? code_->repair_fetch_count(chunk.index) : k_;
   }
 
-  /// Max chunks any reconstruction set can hold: floor(slots/k) where
-  /// slots = sources × reads-per-node (the paper's floor((M-1)/k) at one
-  /// read per node), further capped by the planner's
+  /// Max chunks any reconstruction set can hold: the paper's
+  /// floor((M-1)/k), further capped by the planner's
   /// destination-feasibility bound.
   int capacity() const {
-    const int matching_cap = left_count_ * reads_ / k_;
+    const int matching_cap = left_count_ / k_;
     return max_set_size_ > 0 ? std::min(matching_cap, max_set_size_)
                              : matching_cap;
   }
@@ -103,8 +99,8 @@ class MatchContext {
   bool try_match(IncrementalMatcher& matcher, ChunkRef chunk) {
     if (stats_ != nullptr) ++stats_->match_calls;
     const int k_this = fetch_count(chunk);
-    // Arithmetic prune: no room for k' more helper-read slots.
-    if (matcher.right_count() + k_this > matcher.total_capacity()) {
+    // Arithmetic prune: fewer than k' source nodes left unmatched.
+    if (matcher.right_count() + k_this > matcher.left_count()) {
       return false;
     }
     // Chunk adjacency is cached in chunk_adj_ (stable storage), so the
@@ -156,7 +152,6 @@ class MatchContext {
   NodeId stf_;
   int k_;
   int max_set_size_;
-  int reads_;
   ReconSetStats* stats_;
   const ec::ErasureCode* code_;
   std::vector<NodeId> healthy_;
@@ -321,8 +316,8 @@ std::vector<std::vector<ChunkRef>> find_reconstruction_sets_for(
                    "need at least k healthy source nodes");
 
   MatchContext ctx(layout, cluster::kNoNode, healthy_sources, k_repair,
-                   options.max_set_size, options.helper_reads_per_node,
-                   stats, code, options.topology, &options.deprioritized);
+                   options.max_set_size, stats, code, options.topology,
+                   &options.deprioritized);
 
   std::vector<std::vector<ChunkRef>> sets;
 
@@ -347,10 +342,8 @@ bool is_valid_reconstruction_set(const StripeLayout& layout, NodeId stf,
                                  const std::vector<NodeId>& healthy,
                                  int k_repair,
                                  const std::vector<ChunkRef>& set,
-                                 const ec::ErasureCode* code,
-                                 int helper_reads_per_node) {
-  MatchContext ctx(layout, stf, healthy, k_repair, 0, helper_reads_per_node,
-                   nullptr, code);
+                                 const ec::ErasureCode* code) {
+  MatchContext ctx(layout, stf, healthy, k_repair, 0, nullptr, code);
   IncrementalMatcher matcher = ctx.make_matcher();
   for (ChunkRef c : set) {
     if (!ctx.try_match(matcher, c)) return false;

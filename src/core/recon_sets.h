@@ -30,10 +30,6 @@ struct ReconSetOptions {
   /// round always admits a destination matching (Hall: M - n >= cm + cr).
   /// 0 = no extra cap.
   int max_set_size = 0;
-  /// Helper reads one node may serve per round (DESIGN.md §8). The paper
-  /// fixes this at 1; a planner may relax it to trade round count
-  /// against per-node read contention (placement honors the same cap).
-  int helper_reads_per_node = 1;
   /// Rack topology (DESIGN.md §11). When it names more than one rack,
   /// each chunk's helper candidates are rack-interleaved (round-robin
   /// over racks) so the matcher — which prefers earlier adjacency
@@ -87,7 +83,6 @@ bool is_valid_reconstruction_set(const cluster::StripeLayout& layout,
                                  const std::vector<cluster::NodeId>& healthy,
                                  int k_repair,
                                  const std::vector<cluster::ChunkRef>& set,
-                                 const ec::ErasureCode* code = nullptr,
-                                 int helper_reads_per_node = 1);
+                                 const ec::ErasureCode* code = nullptr);
 
 }  // namespace fastpr::core

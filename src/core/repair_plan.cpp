@@ -35,13 +35,12 @@ std::string RepairPlan::to_string() const {
 void validate_plan(const RepairPlan& plan,
                    const cluster::StripeLayout& layout,
                    const cluster::ClusterState& cluster, int k_repair,
-                   const ec::ErasureCode* code, int helper_reads_per_node,
+                   const ec::ErasureCode* code,
                    const net::Topology* topology) {
   using cluster::ChunkRef;
   using cluster::ChunkRefHash;
   using cluster::NodeId;
 
-  FASTPR_CHECK(helper_reads_per_node >= 1);
   const NodeId stf = plan.stf_node;
   FASTPR_CHECK(stf != cluster::kNoNode);
   std::vector<NodeId> batch = plan.stf_nodes;
@@ -93,7 +92,7 @@ void validate_plan(const RepairPlan& plan,
   };
 
   for (const auto& round : plan.rounds) {
-    std::unordered_map<NodeId, int> round_source_reads;
+    std::unordered_set<NodeId> round_sources;
     std::unordered_set<NodeId> round_destinations;
 
     for (const auto& task : round.migrations) {
@@ -136,8 +135,7 @@ void validate_plan(const RepairPlan& plan,
                          "helper equals the lost chunk");
         FASTPR_CHECK_MSG(layout.node_of(src.chunk) == src.node,
                          "helper not stored on claimed node");
-        FASTPR_CHECK_MSG(++round_source_reads[src.node] <=
-                             helper_reads_per_node,
+        FASTPR_CHECK_MSG(round_sources.insert(src.node).second,
                          "node reads too many chunks in one round");
       }
       FASTPR_CHECK(stf_set.count(task.dst) == 0 &&

@@ -47,10 +47,6 @@ struct RepairRound {
   /// Strategy Algorithm 2 chose for this round's reconstructions (what
   /// the simulator and predict_rounds price the round with).
   RepairStrategy strategy = RepairStrategy::kFanIn;
-
-  int repaired_chunks() const {
-    return static_cast<int>(reconstructions.size() + migrations.size());
-  }
 };
 
 struct RepairPlan {
@@ -74,8 +70,7 @@ struct RepairPlan {
 ///  * migration sources are the STF node storing the chunk;
 ///    reconstruction sources are k distinct healthy non-STF nodes
 ///    holding chunks of the right stripe;
-///  * within a round, no healthy node serves more than
-///    `helper_reads_per_node` source reads;
+///  * within a round, no healthy node serves more than one source read;
 ///  * scattered destinations do not already hold a chunk of the stripe
 ///    and are used at most once per round; hot-standby destinations are
 ///    spare nodes; across the WHOLE plan no destination receives two
@@ -91,7 +86,6 @@ void validate_plan(const RepairPlan& plan,
                    const cluster::StripeLayout& layout,
                    const cluster::ClusterState& cluster, int k_repair,
                    const ec::ErasureCode* code = nullptr,
-                   int helper_reads_per_node = 1,
                    const net::Topology* topology = nullptr);
 
 }  // namespace fastpr::core

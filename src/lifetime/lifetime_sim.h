@@ -67,10 +67,6 @@ struct LifetimeReport {
   long repair_traffic_chunks = 0;
 
   Summary repair_seconds;  // per-repair completion times
-
-  double mean_vulnerability_per_failure() const {
-    return failures == 0 ? 0.0 : vulnerability_seconds / failures;
-  }
 };
 
 LifetimeReport simulate_lifetime(const LifetimeConfig& config);

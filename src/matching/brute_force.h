@@ -2,6 +2,8 @@
 //
 // Test oracle only: property suites compare Hopcroft–Karp and the
 // incremental matcher against this on randomly generated graphs.
+// fastpr-lint: allow(orphan-header) — a test oracle has no product
+// includer by design.
 #pragma once
 
 #include "matching/bipartite_graph.h"

@@ -6,58 +6,21 @@
 
 namespace fastpr::matching {
 
-IncrementalMatcher::IncrementalMatcher(int left_count)
-    : IncrementalMatcher(left_count, 1) {}
-
-IncrementalMatcher::IncrementalMatcher(int left_count, int capacity)
-    : left_count_(left_count) {
+IncrementalMatcher::IncrementalMatcher(int left_count) {
   FASTPR_CHECK(left_count >= 0);
-  FASTPR_CHECK(capacity >= 1);
-  slot_offset_.resize(static_cast<size_t>(left_count) + 1);
-  for (int l = 0; l <= left_count; ++l) {
-    slot_offset_[static_cast<size_t>(l)] = l * capacity;
-  }
-  slots_.assign(static_cast<size_t>(left_count) * capacity, -1);
-}
-
-IncrementalMatcher::IncrementalMatcher(const std::vector<int>& capacities)
-    : left_count_(static_cast<int>(capacities.size())) {
-  slot_offset_.resize(capacities.size() + 1);
-  slot_offset_[0] = 0;
-  for (size_t l = 0; l < capacities.size(); ++l) {
-    FASTPR_CHECK_MSG(capacities[l] >= 1, "left capacity must be >= 1");
-    slot_offset_[l + 1] = slot_offset_[l] + capacities[l];
-  }
-  slots_.assign(static_cast<size_t>(slot_offset_.back()), -1);
-}
-
-void IncrementalMatcher::place(int r, int l, int slot) {
-  slots_[static_cast<size_t>(slot)] = r;
-  match_r_[static_cast<size_t>(r)] = l;
+  match_l_.assign(static_cast<size_t>(left_count), -1);
 }
 
 bool IncrementalMatcher::augment(int r, std::vector<char>& visited_left) {
   for (int l : *right_adj_[static_cast<size_t>(r)]) {
     if (visited_left[static_cast<size_t>(l)]) continue;
     visited_left[static_cast<size_t>(l)] = 1;
-    const int begin = slot_offset_[static_cast<size_t>(l)];
-    const int end = slot_offset_[static_cast<size_t>(l) + 1];
-    // Free slot: take it.
-    for (int s = begin; s < end; ++s) {
-      if (slots_[static_cast<size_t>(s)] == -1) {
-        place(r, l, s);
-        return true;
-      }
-    }
-    // All slots taken: try to reroute one occupant elsewhere. A
-    // successful recursive augment reseats the occupant (writing its new
-    // slot itself), so its old slot here is simply overwritten with r.
-    for (int s = begin; s < end; ++s) {
-      const int occupant = slots_[static_cast<size_t>(s)];
-      if (augment(occupant, visited_left)) {
-        place(r, l, s);
-        return true;
-      }
+    // Take l if it is free, else try to reroute its occupant elsewhere.
+    const int occupant = match_l_[static_cast<size_t>(l)];
+    if (occupant == -1 || augment(occupant, visited_left)) {
+      match_l_[static_cast<size_t>(l)] = r;
+      match_r_[static_cast<size_t>(r)] = l;
+      return true;
     }
   }
   return false;
@@ -67,43 +30,29 @@ bool IncrementalMatcher::try_add_group(const std::vector<int>& adjacency,
                                        int copies) {
   FASTPR_CHECK(copies >= 1);
   for (int l : adjacency) {
-    FASTPR_CHECK_MSG(l >= 0 && l < left_count_,
+    FASTPR_CHECK_MSG(l >= 0 && l < left_count(),
                      "adjacency to nonexistent left vertex " << l);
   }
   // A failed single augmentation leaves the matching untouched, so a
-  // failure after t successes only needs the t successes undone — the
-  // truncated match_r_ fully describes the matching, and the slot
-  // occupancy is re-derived from it.
+  // failure after t successes only needs the t new vertices dropped; the
+  // committed vertices keep whatever left vertices those t successes
+  // rerouted them to.
   const size_t saved_right = right_adj_.size();
-  std::vector<char> visited_left(static_cast<size_t>(left_count_), 0);
+  std::vector<char> visited_left(match_l_.size(), 0);
   for (int copy = 0; copy < copies; ++copy) {
     right_adj_.push_back(&adjacency);
     match_r_.push_back(-1);
     std::fill(visited_left.begin(), visited_left.end(), 0);
     if (!augment(right_count() - 1, visited_left)) {
+      for (size_t r = saved_right; r < match_r_.size(); ++r) {
+        if (match_r_[r] >= 0) match_l_[static_cast<size_t>(match_r_[r])] = -1;
+      }
       right_adj_.resize(saved_right);
       match_r_.resize(saved_right);
-      refill_slots();
       return false;
     }
   }
   return true;
-}
-
-void IncrementalMatcher::refill_slots() {
-  std::fill(slots_.begin(), slots_.end(), -1);
-  for (size_t r = 0; r < match_r_.size(); ++r) {
-    const int l = match_r_[r];
-    if (l < 0) continue;
-    const int begin = slot_offset_[static_cast<size_t>(l)];
-    const int end = slot_offset_[static_cast<size_t>(l) + 1];
-    for (int s = begin; s < end; ++s) {
-      if (slots_[static_cast<size_t>(s)] == -1) {
-        slots_[static_cast<size_t>(s)] = static_cast<int>(r);
-        break;
-      }
-    }
-  }
 }
 
 int IncrementalMatcher::matched_left(int r) const {
@@ -111,21 +60,10 @@ int IncrementalMatcher::matched_left(int r) const {
   return match_r_[static_cast<size_t>(r)];
 }
 
-int IncrementalMatcher::matched_count(int l) const {
-  FASTPR_CHECK(l >= 0 && l < left_count_);
-  int count = 0;
-  const int begin = slot_offset_[static_cast<size_t>(l)];
-  const int end = slot_offset_[static_cast<size_t>(l) + 1];
-  for (int s = begin; s < end; ++s) {
-    if (slots_[static_cast<size_t>(s)] != -1) ++count;
-  }
-  return count;
-}
-
 void IncrementalMatcher::reset() {
   right_adj_.clear();
   match_r_.clear();
-  std::fill(slots_.begin(), slots_.end(), -1);
+  std::fill(match_l_.begin(), match_l_.end(), -1);
 }
 
 }  // namespace fastpr::matching

@@ -8,12 +8,8 @@
 // right vertex; a failed group insertion is rolled back. The result is
 // equivalent — a matching saturating all right vertices exists iff the
 // augmenting paths exist — but a probe costs O(k·E) instead of O(V·E).
-//
-// Multi-source capacity extension (DESIGN.md §8): each left vertex may
-// carry a capacity > 1, i.e. the node may serve that many helper reads
-// per round. Capacities are modelled as per-left slot arrays; with every
-// capacity 1 (the default constructor) the behavior is exactly the
-// classic one-read-per-node matching.
+// Each left vertex (a node) absorbs at most one right vertex (a helper
+// read), the paper's one read per node per round.
 //
 // Adjacency is held BY POINTER: group insertions record a pointer to the
 // caller's adjacency vector, which must stay valid for the matcher's
@@ -27,36 +23,23 @@ namespace fastpr::matching {
 
 class IncrementalMatcher {
  public:
-  /// Every left vertex has capacity 1 (one helper read per node).
   explicit IncrementalMatcher(int left_count);
-
-  /// Uniform capacity: every left vertex can absorb `capacity` right
-  /// vertices (a node serving `capacity` helper reads per round).
-  IncrementalMatcher(int left_count, int capacity);
-
-  /// Per-left-vertex capacities (all >= 1).
-  explicit IncrementalMatcher(const std::vector<int>& capacities);
 
   /// Attempts to add `copies` right vertices sharing `adjacency`
   /// (all-or-nothing). On success they are committed and true returns;
-  /// on failure the state is unchanged. `adjacency` must outlive the
-  /// matcher (and any copies of it).
+  /// on failure the group's vertices are dropped, and the committed
+  /// vertices stay matched (possibly rerouted by the group's earlier
+  /// copies). `adjacency` must outlive the matcher (and any copies of
+  /// it).
   bool try_add_group(const std::vector<int>& adjacency, int copies);
 
   /// Number of committed right vertices (all matched).
   int right_count() const { return static_cast<int>(right_adj_.size()); }
 
-  int left_count() const { return left_count_; }
-
-  /// Sum of all left capacities — the most right vertices this matcher
-  /// can ever commit.
-  int total_capacity() const { return static_cast<int>(slots_.size()); }
+  int left_count() const { return static_cast<int>(match_l_.size()); }
 
   /// Left vertex matched to committed right vertex r.
   int matched_left(int r) const;
-
-  /// Committed right vertices currently matched to left vertex l.
-  int matched_count(int l) const;
 
   /// Drops all committed vertices, keeping the left side.
   void reset();
@@ -65,19 +48,9 @@ class IncrementalMatcher {
   /// Kuhn DFS: find augmenting path from right vertex r.
   bool augment(int r, std::vector<char>& visited_left);
 
-  /// Places r into slot `slot` of left vertex l.
-  void place(int r, int l, int slot);
-
-  /// Rebuilds the slot occupancy from match_r_ (used by rollback).
-  void refill_slots();
-
-  int left_count_;
   std::vector<const std::vector<int>*> right_adj_;
-  /// slots_[slot_offset_[l] .. slot_offset_[l+1]) hold the right
-  /// vertices matched to l (-1 = free slot).
-  std::vector<int> slot_offset_;
-  std::vector<int> slots_;
   std::vector<int> match_r_;  // right → left (always matched once committed)
+  std::vector<int> match_l_;  // left → right (-1 = free)
 };
 
 }  // namespace fastpr::matching

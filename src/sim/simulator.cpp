@@ -181,20 +181,13 @@ double rack_round_time(const core::RepairRound& round, const SimParams& p) {
 
 }  // namespace
 
-SimResult simulate(const core::RepairPlan& plan, const SimParams& raw) {
-  FASTPR_CHECK(raw.chunk_bytes > 0);
-  FASTPR_CHECK(raw.disk_bw > 0 && raw.net_bw > 0);
-  FASTPR_CHECK(raw.k_repair >= 1);
-  FASTPR_CHECK(raw.repair_bw_fraction > 0 && raw.repair_bw_fraction <= 1.0);
-  FASTPR_CHECK(raw.topo_racks >= 1);
-  FASTPR_CHECK(raw.oversubscription >= 1.0);
-  if (raw.topo_racks > 1) FASTPR_CHECK(raw.topo_nodes_per_rack >= 1);
-
-  // Throttling scales every network term and nothing else, so fold it
-  // into the effective NIC rate once — both timing models inherit it.
-  SimParams params = raw;
-  params.net_bw *= params.repair_bw_fraction;
-  params.repair_bw_fraction = 1.0;
+SimResult simulate(const core::RepairPlan& plan, const SimParams& params) {
+  FASTPR_CHECK(params.chunk_bytes > 0);
+  FASTPR_CHECK(params.disk_bw > 0 && params.net_bw > 0);
+  FASTPR_CHECK(params.k_repair >= 1);
+  FASTPR_CHECK(params.topo_racks >= 1);
+  FASTPR_CHECK(params.oversubscription >= 1.0);
+  if (params.topo_racks > 1) FASTPR_CHECK(params.topo_nodes_per_rack >= 1);
 
   // Single rack (or full bisection): no traffic ever contends for a
   // rack link, skip the term entirely so flat runs stay bit-identical.

@@ -41,10 +41,6 @@ struct SimParams {
   /// Per-forward store-and-forward cost of a chain hop (see
   /// core::ModelParams::chain_hop_overhead_seconds).
   double chain_hop_overhead_seconds = 0;
-  /// Fraction of net_bw repair may use under SLO-aware throttling (see
-  /// core::ModelParams::repair_bw_fraction). Scales every network term
-  /// of both timing models; disk terms are unscaled.
-  double repair_bw_fraction = 1.0;
   /// Rack topology (DESIGN.md §11). With topo_racks > 1 and
   /// oversubscription > 1, each round additionally pays for the busiest
   /// rack uplink/downlink: all cross-rack bytes of a rack share

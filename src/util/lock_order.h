@@ -15,7 +15,7 @@
 //    cycle, printing both acquisition stacks.
 //
 // Ordering rationale (low rank = acquired first / outermost):
-// control-plane caches come first, then the agent's data-plane flow
+// control-plane state comes first, then the agent's data-plane flow
 // control, then transport internals, then the utility substrate the
 // upper layers call into (thread pool, shaping buckets, buffer pool),
 // and finally the observability sinks (metrics, trace, logging) that
@@ -38,9 +38,6 @@ struct Rank {
 };
 
 // -- control plane -------------------------------------------------------
-/// core::ReconSetCache entry install. Algorithm 1 runs outside the
-/// lock; holders only splice a computed entry, never call out.
-inline constexpr Rank kReconCache{10, "core.recon_cache"};
 /// core::RepairThrottler lease/AIMD state. The coordinator thread ticks
 /// it and agents' pressure reports fold into it; holders only update
 /// budget arithmetic, never send or block.

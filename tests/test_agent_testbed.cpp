@@ -78,6 +78,20 @@ INSTANTIATE_TEST_SUITE_P(
              info.param.strategy;
     });
 
+TEST(Testbed, FlagStfNodesRejectsDuplicateAndUnknownIds) {
+  ec::RsCode code(6, 4);
+  Testbed tb(small_options(5), code);
+  // Rejected batches flag nothing.
+  EXPECT_THROW(tb.flag_stf_nodes({3, 3}), CheckFailure);
+  EXPECT_THROW(tb.flag_stf_nodes({3, 5, 3}), CheckFailure);
+  EXPECT_THROW(tb.flag_stf_nodes({3, 12}), CheckFailure);
+  EXPECT_THROW(tb.flag_stf_nodes({-1}), CheckFailure);
+  EXPECT_TRUE(tb.cluster().stf_nodes().empty());
+
+  EXPECT_EQ(tb.flag_stf_nodes({5, 3}), (std::vector<cluster::NodeId>{5, 3}));
+  EXPECT_EQ(tb.cluster().stf_nodes(), (std::vector<cluster::NodeId>{3, 5}));
+}
+
 TEST(Testbed, LrcPlansExecuteWithLocalRepairFanIn) {
   // LRC(4,2,2): data/local-parity chunks repair from k' = 2 helpers.
   ec::LrcCode code(4, 2, 2);

@@ -271,47 +271,6 @@ TEST(CostModel, ChainMigrationQuotaAndRoundTime) {
       std::max(m.tr_chain(16), 7 * m.tm()));
 }
 
-TEST(CostModel, RepairBwFractionEqualsScaledNetBw) {
-  // DESIGN.md §10: a throttled budget of f·bn must predict exactly what
-  // an unthrottled model with net_bw = f·bn predicts — the fraction
-  // scales every network term and ONLY the network terms.
-  auto throttled = paper_defaults();
-  throttled.packet_bytes = static_cast<double>(MB(1));
-  throttled.repair_bw_fraction = 0.25;
-  auto scaled = throttled;
-  scaled.repair_bw_fraction = 1.0;
-  scaled.net_bw = throttled.net_bw * 0.25;
-  const CostModel a(throttled);
-  const CostModel b(scaled);
-  EXPECT_DOUBLE_EQ(a.tm(), b.tm());
-  EXPECT_DOUBLE_EQ(a.tr(10), b.tr(10));
-  EXPECT_DOUBLE_EQ(a.tr_chain(10), b.tr_chain(10));
-  EXPECT_DOUBLE_EQ(a.optimal_migration_chunks(),
-                   b.optimal_migration_chunks());
-  EXPECT_DOUBLE_EQ(a.predictive_time(), b.predictive_time());
-  EXPECT_DOUBLE_EQ(a.reactive_time(), b.reactive_time());
-  EXPECT_EQ(a.choose_strategy(10), b.choose_strategy(10));
-
-  // Disk terms stay unscaled: quartering the repair bandwidth stretches
-  // tm by exactly the extra wire time, strictly less than 4×.
-  const CostModel full(paper_defaults());
-  EXPECT_GT(a.tm(), full.tm());
-  EXPECT_LT(a.tm(), 4 * full.tm());
-  const double extra_wire =
-      3 * throttled.chunk_bytes / throttled.net_bw;  // c/(bn/4) - c/bn
-  EXPECT_NEAR(a.tm(), full.tm() + extra_wire, 1e-9);
-}
-
-TEST(CostModel, RejectsBadRepairBwFraction) {
-  auto p = paper_defaults();
-  p.repair_bw_fraction = 0;
-  EXPECT_THROW(CostModel{p}, CheckFailure);
-  p.repair_bw_fraction = 1.5;
-  EXPECT_THROW(CostModel{p}, CheckFailure);
-  p.repair_bw_fraction = -0.5;
-  EXPECT_THROW(CostModel{p}, CheckFailure);
-}
-
 TEST(CostModel, InvalidParamsRejected) {
   auto p = paper_defaults();
   p.k_repair = 0;

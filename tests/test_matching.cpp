@@ -123,6 +123,23 @@ TEST(IncrementalMatcher, AugmentingPathReroutesExisting) {
   EXPECT_EQ(m.matched_left(0), 1);
 }
 
+TEST(IncrementalMatcher, FailedGroupKeepsEarlierReroutes) {
+  // A = {0,1}×1 takes 0. B = {0}×2: the first copy reroutes A to 1 and
+  // takes 0; the second copy fails. Rollback drops B's copies only, so A
+  // stays on 1 — Algorithm 1's later probes see this exact assignment.
+  IncrementalMatcher m(2);
+  const std::vector<int> adj_a = {0, 1};
+  const std::vector<int> adj_b = {0};
+  ASSERT_TRUE(m.try_add_group(adj_a, 1));
+  ASSERT_EQ(m.matched_left(0), 0);
+  EXPECT_FALSE(m.try_add_group(adj_b, 2));
+  EXPECT_EQ(m.right_count(), 1);
+  EXPECT_EQ(m.matched_left(0), 1);
+  // Left 0 is free again after the rollback.
+  EXPECT_TRUE(m.try_add_group(adj_b, 1));
+  EXPECT_EQ(m.matched_left(1), 0);
+}
+
 TEST(IncrementalMatcher, AgreesWithHopcroftKarpOnRandomGroups) {
   std::mt19937 rng(777);
   for (int trial = 0; trial < 100; ++trial) {

@@ -6,7 +6,7 @@
 //    (matching/brute_force), independent of the incremental matcher
 //    the planner uses;
 //  * every set is maximal: no chunk from a later set could have been
-//    added (unless the set already sits at the configured cap);
+//    added;
 //  * no plan ever lands two chunks of one stripe on the same node,
 //    across rounds and batch members (§IV-A, DESIGN.md §9.3).
 //
@@ -82,22 +82,20 @@ std::vector<NodeId> healthy_except(int num_nodes,
 }
 
 /// Exact feasibility oracle: k'·|set| helper reads admit a saturating
-/// matching onto the healthy nodes, each node serving at most
-/// `reads_per_node` (capacity modeled by duplicating left vertices).
+/// matching onto the healthy nodes, each node serving at most one.
 /// Every helper candidate of a set chunk is a healthy node holding a
 /// surviving chunk of its stripe.
 bool oracle_feasible(const cluster::StripeLayout& layout,
                      const std::vector<NodeId>& healthy, int k_repair,
-                     int reads_per_node, const std::vector<ChunkRef>& set) {
+                     const std::vector<ChunkRef>& set) {
   matching::BipartiteGraph graph;
-  graph.left_count = static_cast<int>(healthy.size()) * reads_per_node;
+  graph.left_count = static_cast<int>(healthy.size());
   int slots = 0;
   for (ChunkRef chunk : set) {
     std::vector<int> adjacency;
     for (size_t i = 0; i < healthy.size(); ++i) {
-      if (!layout.stripe_uses_node(chunk.stripe, healthy[i])) continue;
-      for (int copy = 0; copy < reads_per_node; ++copy) {
-        adjacency.push_back(static_cast<int>(i) * reads_per_node + copy);
+      if (layout.stripe_uses_node(chunk.stripe, healthy[i])) {
+        adjacency.push_back(static_cast<int>(i));
       }
     }
     for (int slot = 0; slot < k_repair; ++slot) {
@@ -110,22 +108,18 @@ bool oracle_feasible(const cluster::StripeLayout& layout,
 
 /// Checks every set feasible, and maximal with respect to the chunks
 /// Algorithm 1 had still available when the set was formed (the chunks
-/// of all LATER sets). A set at the explicit `cap` is maximal by cap.
+/// of all LATER sets).
 void expect_feasible_and_maximal(
     const cluster::StripeLayout& layout, const std::vector<NodeId>& healthy,
-    int k_repair, int reads_per_node, int cap,
-    const std::vector<std::vector<ChunkRef>>& sets) {
+    int k_repair, const std::vector<std::vector<ChunkRef>>& sets) {
   for (size_t i = 0; i < sets.size(); ++i) {
-    EXPECT_TRUE(
-        oracle_feasible(layout, healthy, k_repair, reads_per_node, sets[i]))
+    EXPECT_TRUE(oracle_feasible(layout, healthy, k_repair, sets[i]))
         << "set " << i << " is not a valid reconstruction set";
-    if (cap > 0 && static_cast<int>(sets[i].size()) >= cap) continue;
     for (size_t j = i + 1; j < sets.size(); ++j) {
       for (ChunkRef chunk : sets[j]) {
         std::vector<ChunkRef> grown = sets[i];
         grown.push_back(chunk);
-        EXPECT_FALSE(oracle_feasible(layout, healthy, k_repair,
-                                     reads_per_node, grown))
+        EXPECT_FALSE(oracle_feasible(layout, healthy, k_repair, grown))
             << "set " << i << " is not maximal: chunk (" << chunk.stripe
             << "," << chunk.index << ") from set " << j << " still fits";
       }
@@ -168,8 +162,7 @@ TEST(AlgorithmOneProperties, SingleStfSetsFeasibleAndMaximal) {
       EXPECT_TRUE(core::is_valid_reconstruction_set(layout, stf, healthy,
                                                     k_repair, set));
     }
-    expect_feasible_and_maximal(layout, healthy, k_repair,
-                                /*reads_per_node=*/1, /*cap=*/0, sets);
+    expect_feasible_and_maximal(layout, healthy, k_repair, sets);
   }
 }
 
@@ -203,62 +196,7 @@ TEST(AlgorithmOneProperties, MultiStfUnionSetsFeasibleAndMaximal) {
     const auto sets = core::find_reconstruction_sets_for(
         union_chunks, layout, healthy, k_repair);
     expect_exact_cover(sets, union_chunks);
-    expect_feasible_and_maximal(layout, healthy, k_repair,
-                                /*reads_per_node=*/1, /*cap=*/0, sets);
-  }
-}
-
-TEST(AlgorithmOneProperties, HelperCapacityTwoSetsFeasibleAndMaximal) {
-  // DESIGN.md §8: the planner may relax helper_reads_per_node.
-  // The oracle models capacity 2 by duplicating every healthy node.
-  for (int s = 0; s < seed_count(); ++s) {
-    const uint64_t seed = seed_base() + static_cast<uint64_t>(s);
-    SCOPED_TRACE("seed=" + std::to_string(seed) +
-                 " (override with FASTPR_PROPERTY_SEED_BASE)");
-    Rng rng(seed);
-    const auto layout = cluster::StripeLayout::random(
-        /*num_nodes=*/8, /*chunks_per_stripe=*/5, /*num_stripes=*/20, rng);
-    const NodeId stf = most_loaded(layout, 1).front();
-    const auto healthy = healthy_except(8, {stf});
-    const int k_repair = 3;
-
-    core::ReconSetOptions options;
-    options.helper_reads_per_node = 2;
-    // Capacity 2 lifts the natural bound past what brute force can
-    // verify; cap sets at 2 so a maximality probe stays at 9 slots.
-    options.max_set_size = 2;
-    const auto sets = core::find_reconstruction_sets(layout, stf, healthy,
-                                                     k_repair, options);
-    expect_exact_cover(sets, layout.chunks_on(stf));
-    for (const auto& set : sets) {
-      EXPECT_TRUE(core::is_valid_reconstruction_set(
-          layout, stf, healthy, k_repair, set, /*code=*/nullptr,
-          /*helper_reads_per_node=*/2));
-    }
-    expect_feasible_and_maximal(layout, healthy, k_repair,
-                                /*reads_per_node=*/2, /*cap=*/2, sets);
-
-    // The planner places the sets under the same capacity: a
-    // hot-standby RS(6,4) plan built with two reads per node must be
-    // matchable and pass validation at two reads per node.
-    Rng plan_rng(seed);
-    const auto plan_layout = cluster::StripeLayout::random(
-        /*num_nodes=*/12, /*chunks_per_stripe=*/6, /*num_stripes=*/30,
-        plan_rng);
-    cluster::ClusterState state(
-        12, /*num_hot_standby=*/3,
-        cluster::BandwidthProfile{MBps(100), Gbps(1)});
-    state.set_health(most_loaded(plan_layout, 1).front(),
-                     cluster::NodeHealth::kSoonToFail);
-    core::PlannerOptions plan_options;
-    plan_options.scenario = core::Scenario::kHotStandby;
-    plan_options.k_repair = 4;
-    plan_options.chunk_bytes = static_cast<double>(MB(4));
-    plan_options.recon.helper_reads_per_node = 2;
-    core::FastPrPlanner planner(plan_layout, state, plan_options);
-    EXPECT_NO_THROW(core::validate_plan(
-        planner.plan_fastpr(), plan_layout, state, plan_options.k_repair,
-        /*code=*/nullptr, /*helper_reads_per_node=*/2));
+    expect_feasible_and_maximal(layout, healthy, k_repair, sets);
   }
 }
 
@@ -289,8 +227,7 @@ TEST(AlgorithmOneProperties, RackAwareSetsFeasibleAndMaximal) {
       EXPECT_TRUE(core::is_valid_reconstruction_set(layout, stf, healthy,
                                                     k_repair, set));
     }
-    expect_feasible_and_maximal(layout, healthy, k_repair,
-                                /*reads_per_node=*/1, /*cap=*/0, sets);
+    expect_feasible_and_maximal(layout, healthy, k_repair, sets);
   }
 }
 
@@ -314,8 +251,7 @@ TEST(AlgorithmOneProperties, DeprioritizedSetsFeasibleAndMaximal) {
     const auto sets = core::find_reconstruction_sets(layout, stf, healthy,
                                                      k_repair, options);
     expect_exact_cover(sets, layout.chunks_on(stf));
-    expect_feasible_and_maximal(layout, healthy, k_repair,
-                                /*reads_per_node=*/1, /*cap=*/0, sets);
+    expect_feasible_and_maximal(layout, healthy, k_repair, sets);
   }
 }
 
@@ -479,8 +415,7 @@ TEST_P(PlacementPropertyTest, RackedPlanKeepsStripesRackDisjoint) {
       for (const auto& plan :
            {planner.plan_fastpr(), planner.plan_sequential()}) {
         core::validate_plan(plan, layout, state, options.k_repair,
-                            /*code=*/nullptr, /*helper_reads_per_node=*/1,
-                            &topo);
+                            /*code=*/nullptr, &topo);
         expect_placement_invariants(plan, layout, batch, scenario,
                                     num_storage, /*num_standby=*/3);
         if (scenario == core::Scenario::kScattered) {

@@ -1,9 +1,10 @@
 // fastpr_lint — mechanical enforcement of repo conventions (CLAUDE.md).
 //
 // Walks src/ bench/ tests/ tools/ under the repo root given as argv[1]
-// and checks every .h/.cpp against the rules below. Registered as a
-// ctest test, so a convention regression fails tier-1 verification just
-// like a unit test would.
+// and checks every .h/.cpp against the rules below; examples/ and
+// repairbench/ are read only for their #include lines (orphan-header).
+// Registered as a ctest test, so a convention regression fails tier-1
+// verification just like a unit test would.
 //
 // Rules (rule ids in parentheses):
 //  * units        — bandwidth/size configuration lines must use the
@@ -54,6 +55,12 @@
 //                   overload already provides). src/util/mutex.h is
 //                   exempt (it implements the overloads); reviewed
 //                   pacing loops carry the allow marker.
+//  * orphan-header — every header under src/ is #included by some file
+//                   under src/ tools/ bench/ examples/ repairbench/
+//                   other than its own same-stem .cpp. A header only
+//                   tests include is dead product code; delete it, or
+//                   put the allow marker anywhere in the header with
+//                   the reason it stays (e.g. a test oracle).
 //
 // Intentional exceptions:
 //  * src/util/units.h is exempt from `units` (it defines the helpers).
@@ -72,6 +79,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -453,6 +462,63 @@ void check_file(const fs::path& root, const fs::path& rel,
   }
 }
 
+/// Targets of the quoted `#include "..."` lines of `rel`, each resolved
+/// against src/ and against the including file's directory (relative
+/// to `root`, generic form).
+std::vector<std::string> quoted_includes(const fs::path& root,
+                                         const fs::path& rel) {
+  std::vector<std::string> out;
+  std::ifstream in(root / rel);
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t start = line.find_first_not_of(" \t");
+    if (start == std::string::npos ||
+        line.compare(start, 10, "#include \"") != 0) {
+      continue;
+    }
+    const size_t open = start + 10;
+    const size_t close = line.find('"', open);
+    if (close == std::string::npos) continue;
+    const std::string target = line.substr(open, close - open);
+    for (const fs::path& base : {fs::path("src"), rel.parent_path()}) {
+      out.push_back((base / target).lexically_normal().generic_string());
+    }
+  }
+  return out;
+}
+
+/// orphan-header: `headers` (under src/) that no file in `includers`
+/// includes, a header's own same-stem .cpp aside.
+void check_orphan_headers(const fs::path& root,
+                          const std::vector<fs::path>& headers,
+                          const std::vector<fs::path>& includers,
+                          std::vector<Violation>& out) {
+  std::set<std::string> included;
+  for (const fs::path& rel : includers) {
+    for (const std::string& target : quoted_includes(root, rel)) {
+      const fs::path header(target);
+      const bool own_cpp = rel.extension() == ".cpp" &&
+                           rel.parent_path() == header.parent_path() &&
+                           rel.stem() == header.stem();
+      if (!own_cpp) included.insert(target);
+    }
+  }
+  for (const fs::path& rel : headers) {
+    if (included.count(rel.generic_string()) > 0) continue;
+    std::ifstream in(root / rel);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    if (text.find("fastpr-lint: allow(orphan-header)") != std::string::npos) {
+      continue;
+    }
+    out.push_back({rel.generic_string(), 1, "orphan-header",
+                   "no file under src/ tools/ bench/ examples/ "
+                   "repairbench/ includes this header (its own .cpp "
+                   "aside); delete it or mark the reviewed exception "
+                   "with fastpr-lint: allow(orphan-header)"});
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -461,9 +527,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   const fs::path root = argv[1];
-  const char* kDirs[] = {"src", "bench", "tests", "tools"};
+  const char* kDirs[] = {"src",  "bench",    "tests",
+                         "tools", "examples", "repairbench"};
+  // Read for #include lines only; the line rules do not apply there.
+  const auto include_only = [](const std::string& dir) {
+    return dir == "examples" || dir == "repairbench";
+  };
 
   std::vector<Violation> violations;
+  std::vector<fs::path> src_headers;
+  std::vector<fs::path> includers;  // orphan-header: tests/ do not count
   int files_checked = 0;
   for (const char* dir : kDirs) {
     const fs::path base = root / dir;
@@ -479,10 +552,14 @@ int main(int argc, char** argv) {
           std::string::npos) {
         continue;
       }
+      if (std::string(dir) != "tests") includers.push_back(rel);
+      if (include_only(dir)) continue;
+      if (std::string(dir) == "src" && ext == ".h") src_headers.push_back(rel);
       ++files_checked;
       check_file(root, rel, violations);
     }
   }
+  check_orphan_headers(root, src_headers, includers, violations);
 
   for (const auto& v : violations) {
     std::cerr << v.file << ":" << v.line << ": [" << v.rule << "] "
