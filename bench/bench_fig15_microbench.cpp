@@ -3,10 +3,15 @@
 //     (greedy only), varying the number of repaired chunks |C|;
 // (b) running time of Algorithm 1 vs |C|.
 // The paper sweeps to 1000 chunks (254.63 s on an EC2 m5.large at
-// 1000); we sweep to 500 on this single-core box — the shape
-// (superlinear growth, stable ~13% reduction) is what matters — and
-// additionally show the §IV-D chunk-grouping mitigation.
+// 1000); we sweep to 500 — the shape (superlinear growth, stable ~13%
+// reduction) is what matters — and additionally show the §IV-D
+// chunk-grouping mitigation.
+//
+// `--smoke` is a determinism gate with no timing: part (b)'s layouts at
+// |C| = 100 and 200, swap pass on and off, must reproduce their recorded
+// set counts and MATCH calls; exit code 1 on any difference.
 #include <chrono>
+#include <cstring>
 
 #include "bench_common.h"
 #include "core/recon_sets.h"
@@ -37,12 +42,50 @@ std::vector<NodeId> healthy(int num_nodes) {
   return nodes;
 }
 
+constexpr int kM = 100;
+constexpr int kN = 9, kK = 6;
+
+int run_smoke() {
+  struct Expected {
+    int chunks;
+    bool optimize;
+    size_t sets;
+    long match_calls;
+  };
+  // Recorded with the serial swap pass.
+  const Expected expected[] = {
+      {100, true, 9, 89725},
+      {100, false, 10, 502},
+      {200, true, 16, 506114},
+      {200, false, 18, 1752},
+  };
+  bool ok = true;
+  for (const Expected& e : expected) {
+    Rng rng(7);
+    const auto layout = pinned_layout(kM, kN, e.chunks, rng);
+    core::ReconSetOptions opts;
+    opts.optimize = e.optimize;
+    core::ReconSetStats stats;
+    const auto sets = core::find_reconstruction_sets(layout, 0, healthy(kM),
+                                                     kK, opts, &stats);
+    const bool match = sets.size() == e.sets &&
+                       stats.match_calls == e.match_calls;
+    std::printf("|C|=%d swap=%s: sets=%zu match_calls=%ld%s\n", e.chunks,
+                e.optimize ? "on" : "off", sets.size(), stats.match_calls,
+                match ? "" : "  (MISMATCH)");
+    ok = ok && match;
+  }
+  std::printf("bench_fig15_microbench --smoke: %s\n", ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   set_log_level(LogLevel::kWarn);
-  const int kM = 100;
-  const int kN = 9, kK = 6;
+  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
+    return run_smoke();
+  }
   std::printf("=== Figure 15 (Exp B.5): Algorithm 1 microbenchmarks ===\n");
   std::printf("M=%d nodes, RS(%d,%d); STF node pinned into every stripe\n\n",
               kM, kN, kK);

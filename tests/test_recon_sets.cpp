@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
 
+#include "ec/lrc_code.h"
+#include "net/topology.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -193,6 +198,145 @@ TEST(ReconSets, InsufficientHealthySourcesRejected) {
   EXPECT_THROW(
       find_reconstruction_sets(layout, 0, healthy, 3, ReconSetOptions{}),
       CheckFailure);
+}
+
+/// The Fig. 15 family (bench_fig15_microbench): the STF node 0 stores
+/// exactly `num_chunks` chunks, every stripe pinning node 0 plus n-1
+/// random others.
+StripeLayout pinned_layout(int num_nodes, int n, int num_chunks,
+                           uint64_t seed) {
+  Rng rng(seed);
+  StripeLayout layout(num_nodes, n);
+  for (int s = 0; s < num_chunks; ++s) {
+    std::vector<NodeId> nodes = {0};
+    for (int p : rng.sample_distinct(num_nodes - 1, n - 1)) {
+      nodes.push_back(p + 1);
+    }
+    layout.add_stripe(nodes);
+  }
+  return layout;
+}
+
+uint64_t sets_digest(const std::vector<std::vector<ChunkRef>>& sets) {
+  uint64_t hash = 14695981039346656037ULL;
+  const auto add = [&](int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= static_cast<uint8_t>(static_cast<uint64_t>(value) >>
+                                   (8 * byte));
+      hash *= 1099511628211ULL;
+    }
+  };
+  add(static_cast<int64_t>(sets.size()));
+  for (const auto& set : sets) {
+    add(static_cast<int64_t>(set.size()));
+    for (ChunkRef c : set) {
+      add(c.stripe);
+      add(c.index);
+    }
+  }
+  return hash;
+}
+
+struct RecordedRun {
+  std::string name;
+  uint64_t digest;
+  long match_calls;
+  long swaps;
+  long sweep_adds;
+};
+
+TEST(ReconSets, SwapPassReproducesRecordedSetsAndStats) {
+  // Algorithm 1's output and work counters, recorded with the serial
+  // swap pass: the ordered sets (FNV-1a), match_calls, swaps and
+  // sweep_adds. M = 100 sources give swap passes of up to 16 rows, which
+  // the 28-node plan digests never reach. Re-record only for an
+  // intended change in Algorithm 1's output.
+  constexpr int kM = 100;
+  const ec::LrcCode lrc(12, 2, 2);
+  const net::Topology racks(10, 10, net::Oversub(4.0));
+  std::vector<NodeId> healthy;
+  for (NodeId n = 1; n < kM; ++n) healthy.push_back(n);
+
+  struct Case {
+    std::string name;
+    int n;
+    int chunks;
+    uint64_t seed;
+    ReconSetOptions options;
+    const ec::ErasureCode* code;
+  };
+  std::vector<Case> cases;
+  for (int chunks : {60, 120, 228}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      cases.push_back({"rs96 C" + std::to_string(chunks) + " seed" +
+                           std::to_string(seed),
+                       9, chunks, seed, {}, nullptr});
+    }
+  }
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    const std::string tail = " C120 seed" + std::to_string(seed);
+    ReconSetOptions capped;
+    capped.max_set_size = 5;
+    cases.push_back({"rs96 max5" + tail, 9, 120, seed, capped, nullptr});
+    ReconSetOptions grouped;
+    grouped.chunk_group_size = 50;
+    cases.push_back({"rs96 group50" + tail, 9, 120, seed, grouped, nullptr});
+    cases.push_back({"lrc1222" + tail, 16, 120, seed, {}, &lrc});
+    ReconSetOptions racked;
+    racked.topology = &racks;
+    racked.deprioritized = {17, 42};
+    cases.push_back({"rs96 racked depri" + tail, 9, 120, seed, racked,
+                     nullptr});
+  }
+
+  // clang-format off
+  const std::vector<RecordedRun> recorded = {
+      {"rs96 C60 seed1", 0x854069f2c244762bULL, 22601, 7, 0},
+      {"rs96 C60 seed2", 0x5f07c82243e6a480ULL, 25061, 8, 0},
+      {"rs96 C60 seed3", 0x99c30fd021b633edULL, 23899, 9, 0},
+      {"rs96 C60 seed4", 0x54be1b560209d0a9ULL, 16827, 5, 0},
+      {"rs96 C120 seed1", 0x5f7232329f241f04ULL, 121421, 13, 0},
+      {"rs96 C120 seed2", 0x7eeb884323306907ULL, 130011, 13, 0},
+      {"rs96 C120 seed3", 0x573dcbd7ee6de05ULL, 128432, 14, 0},
+      {"rs96 C120 seed4", 0x7d479e44103b3d23ULL, 106526, 11, 0},
+      {"rs96 C228 seed1", 0x576c13935ff792f1ULL, 754948, 28, 0},
+      {"rs96 C228 seed2", 0xb1ae43a021755f5bULL, 755053, 28, 0},
+      {"rs96 C228 seed3", 0x63be086be946f9d1ULL, 667588, 26, 0},
+      {"rs96 C228 seed4", 0xa9f2372340f4eeb4ULL, 643584, 28, 0},
+      {"rs96 max5 C120 seed1", 0xdcfc33fcf23c0e5dULL, 120, 0, 0},
+      {"rs96 group50 C120 seed1", 0x2e20514cadef4a80ULL, 28124, 9, 0},
+      {"lrc1222 C120 seed1", 0x9bea1baace01a55ULL, 18112, 8, 0},
+      {"rs96 racked depri C120 seed1", 0x5f7232329f241f04ULL, 121421, 13, 0},
+      {"rs96 max5 C120 seed2", 0xc5d6a1ee916fcebdULL, 121, 0, 0},
+      {"rs96 group50 C120 seed2", 0xe228180e9c599604ULL, 21536, 10, 0},
+      {"lrc1222 C120 seed2", 0x878dfb98e6e37bbeULL, 21788, 10, 0},
+      {"rs96 racked depri C120 seed2", 0x7eeb884323306907ULL, 130011, 13, 0},
+  };
+  // clang-format on
+
+  std::vector<RecordedRun> actual;
+  for (const Case& c : cases) {
+    const auto layout = pinned_layout(kM, c.n, c.chunks, c.seed);
+    ReconSetStats stats;
+    const auto sets = find_reconstruction_sets(layout, 0, healthy, 6,
+                                               c.options, &stats, c.code);
+    actual.push_back({c.name, sets_digest(sets), stats.match_calls,
+                      stats.swaps, stats.sweep_adds});
+  }
+  ASSERT_EQ(actual.size(), recorded.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    const RecordedRun& got = actual[i];
+    const RecordedRun& want = recorded[i];
+    SCOPED_TRACE(got.name);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.digest, want.digest)
+        << "now: {\"" << got.name << "\", 0x" << std::hex << got.digest
+        << std::dec << "ULL, " << got.match_calls << ", " << got.swaps
+        << ", " << got.sweep_adds << "},";
+    EXPECT_EQ(got.match_calls, want.match_calls);
+    EXPECT_EQ(got.swaps, want.swaps);
+    EXPECT_EQ(got.sweep_adds, want.sweep_adds);
+  }
 }
 
 }  // namespace
