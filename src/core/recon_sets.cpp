@@ -1,12 +1,18 @@
 #include "core/recon_sets.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <future>
 #include <map>
+#include <memory>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "matching/incremental_matching.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace fastpr::core {
 
@@ -95,9 +101,23 @@ class MatchContext {
   }
 
   /// The MATCH function: can `chunk` join the set held by `matcher`?
-  /// On success the k slot vertices stay committed.
+  /// On success the k slot vertices stay committed. Caches the chunk's
+  /// adjacency even when the arithmetic prune answers, so every chunk
+  /// MATCH has seen can later be probed read-only.
   bool try_match(IncrementalMatcher& matcher, ChunkRef chunk) {
-    if (stats_ != nullptr) ++stats_->match_calls;
+    slot_adjacency(chunk);
+    long calls = 0;
+    const bool matched = probe(matcher, chunk, calls);
+    if (stats_ != nullptr) stats_->match_calls += calls;
+    return matched;
+  }
+
+  /// MATCH over the adjacency cache only, counting into `match_calls`.
+  /// Safe to call from several threads while nothing mutates the
+  /// context: it never fills the cache, so `chunk` must already be in it.
+  bool probe(IncrementalMatcher& matcher, ChunkRef chunk,
+             long& match_calls) const {
+    ++match_calls;
     const int k_this = fetch_count(chunk);
     // Arithmetic prune: fewer than k' source nodes left unmatched.
     if (matcher.right_count() + k_this > matcher.left_count()) {
@@ -105,7 +125,15 @@ class MatchContext {
     }
     // Chunk adjacency is cached in chunk_adj_ (stable storage), so the
     // matcher may hold it by pointer.
-    return matcher.try_add_group(slot_adjacency(chunk), k_this);
+    const auto it = chunk_adj_.find(chunk);
+    FASTPR_CHECK_MSG(it != chunk_adj_.end(),
+                     "probe of chunk " << chunk.stripe << "/" << chunk.index
+                                       << " with no cached adjacency");
+    return matcher.try_add_group(it->second, k_this);
+  }
+
+  bool has_adjacency(ChunkRef chunk) const {
+    return chunk_adj_.count(chunk) > 0;
   }
 
  private:
@@ -163,16 +191,169 @@ class MatchContext {
       chunk_adj_;
 };
 
+/// One row of a swap iteration (Lines 19–32 for a fixed Ci): the base
+/// matcher over R − {Ci}, then each probe R − {Ci} ∪ {Cj} and its gain
+/// scan. Written by the one thread that evaluates the row.
+struct SwapRow {
+  bool evaluated = false;
+  size_t best_j = 0;
+  std::vector<ChunkRef> gain_set;  // best_j's gain set (empty: no gain)
+  long match_calls = 0;            // the base matcher's calls included
+  std::exception_ptr error;
+};
+
+/// Evaluates row i on its own. It keeps the first j reaching the row's
+/// best gain and stops at the first j whose gain reaches `max_gain` —
+/// exactly where the serial loop stops inside row i and what it keeps
+/// there, because its running best stays below `max_gain` while it runs.
+void evaluate_row(const MatchContext& ctx, const std::vector<ChunkRef>& r,
+                  const std::vector<ChunkRef>& chunks, size_t i,
+                  int max_gain, SwapRow& row) {
+  IncrementalMatcher base = ctx.make_matcher();
+  for (size_t t = 0; t < r.size(); ++t) {
+    if (t == i) continue;
+    FASTPR_CHECK_MSG(ctx.probe(base, r[t], row.match_calls),
+                     "a subset of a reconstruction set failed MATCH");
+  }
+  // One probe matcher and one gain buffer per row: `probe = base` and
+  // clear() reuse their storage for every j.
+  IncrementalMatcher probe = ctx.make_matcher();
+  std::vector<ChunkRef> gain_set;
+  for (size_t j = 0; j < chunks.size(); ++j) {
+    probe = base;
+    if (!ctx.probe(probe, chunks[j], row.match_calls)) continue;
+
+    // Grow R' with whatever residual chunks now fit (Lines 24–29).
+    gain_set.clear();
+    for (size_t l = 0; l < chunks.size(); ++l) {
+      if (l == j) continue;
+      // |R'| = |R| + gains; stop once the set-size cap is reached.
+      if (static_cast<int>(r.size() + gain_set.size()) >= ctx.capacity()) {
+        break;
+      }
+      if (ctx.probe(probe, chunks[l], row.match_calls)) {
+        gain_set.push_back(chunks[l]);
+      }
+    }
+    if (gain_set.size() > row.gain_set.size()) {
+      row.best_j = j;
+      row.gain_set.swap(gain_set);
+      if (static_cast<int>(row.gain_set.size()) >= max_gain) break;
+    }
+  }
+}
+
+/// Waits for every posted helper before the rows they write leave scope,
+/// also when the caller unwinds.
+class HelperJoin {
+ public:
+  explicit HelperJoin(size_t helpers) { futures_.reserve(helpers); }
+  ~HelperJoin() {
+    for (auto& f : futures_) f.wait();
+  }
+  HelperJoin(const HelperJoin&) = delete;
+  HelperJoin& operator=(const HelperJoin&) = delete;
+
+  void add(std::future<void> f) { futures_.push_back(std::move(f)); }
+
+ private:
+  std::vector<std::future<void>> futures_;
+};
+
+struct Swap {
+  size_t i = 0;
+  size_t j = 0;
+  std::vector<ChunkRef> gain_set;  // empty: no swap gains
+};
+
+/// Lines 19–32 of one swap iteration. The rows run in parallel — the
+/// caller plus up to min(cores, |R|) − 1 helpers of `pool` (created on
+/// first need) take row indices in order — and are then folded in serial
+/// order, so the chosen swap and the counted MATCH calls are the serial
+/// loop's: a row wins only with a strictly larger gain, the fold stops
+/// at the first row reaching `max_gain`, and rows computed past it are
+/// discarded uncounted.
+Swap best_swap(const MatchContext& ctx, const std::vector<ChunkRef>& r,
+               const std::vector<ChunkRef>& chunks,
+               std::unique_ptr<ThreadPool>& pool, ReconSetStats* stats) {
+  for (ChunkRef c : r) FASTPR_CHECK(ctx.has_adjacency(c));
+  for (ChunkRef c : chunks) FASTPR_CHECK(ctx.has_adjacency(c));
+
+  const int max_gain = ctx.capacity() - static_cast<int>(r.size());
+  std::vector<SwapRow> rows(r.size());
+  std::atomic<size_t> next_row{0};
+  // Lowest row that reached max_gain or threw: no row above it is
+  // started, and the fold never reads past it.
+  std::atomic<size_t> stop_row{rows.size()};
+  const auto run_rows = [&] {
+    for (;;) {
+      const size_t i = next_row.fetch_add(1);
+      if (i >= rows.size() || i > stop_row.load()) return;
+      SwapRow& row = rows[i];
+      try {
+        evaluate_row(ctx, r, chunks, i, max_gain, row);
+      } catch (...) {
+        row.error = std::current_exception();
+      }
+      row.evaluated = true;
+      if (row.error != nullptr ||
+          static_cast<int>(row.gain_set.size()) >= max_gain) {
+        size_t seen = stop_row.load();
+        while (i < seen && !stop_row.compare_exchange_weak(seen, i)) {
+        }
+      }
+    }
+  };
+
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const size_t helpers = std::min(cores, rows.size()) - 1;
+  {
+    HelperJoin join(helpers);
+    if (helpers > 0 && pool == nullptr) {
+      pool = std::make_unique<ThreadPool>(
+          std::min(cores, static_cast<size_t>(ctx.capacity())) - 1);
+    }
+    for (size_t h = 0; h < helpers; ++h) join.add(pool->submit(run_rows));
+    run_rows();
+  }
+
+  Swap best;
+  size_t folded = 0;
+  long match_calls = 0;
+  while (folded < rows.size() &&
+         static_cast<int>(best.gain_set.size()) < max_gain) {
+    SwapRow& row = rows[folded];
+    FASTPR_CHECK(row.evaluated);
+    if (row.error != nullptr) std::rethrow_exception(row.error);
+    match_calls += row.match_calls;
+    if (row.gain_set.size() > best.gain_set.size()) {
+      best = {folded, row.best_j, std::move(row.gain_set)};
+    }
+    ++folded;
+  }
+  if (stats != nullptr) {
+    stats->match_calls += match_calls;
+    stats->swap_rows += static_cast<long>(folded);
+    stats->swap_rows_discarded += std::count_if(
+        rows.begin() + static_cast<ptrdiff_t>(folded), rows.end(),
+        [](const SwapRow& row) { return row.evaluated; });
+  }
+  return best;
+}
+
 /// The FIND function of Algorithm 1. Extracts one reconstruction set
 /// from `chunks` (removing its members) and returns it.
 std::vector<ChunkRef> find_one_set(MatchContext& ctx,
                                    std::vector<ChunkRef>& chunks,
                                    const ReconSetOptions& options,
+                                   std::unique_ptr<ThreadPool>& pool,
                                    ReconSetStats* stats) {
   std::vector<ChunkRef> r;
   IncrementalMatcher matcher = ctx.make_matcher();
 
-  // Lines 10–17: greedy initial set.
+  // Lines 10–17: greedy initial set. When it ends below capacity it has
+  // run MATCH on every chunk, so the adjacency cache the swap rows read
+  // holds all of them; swaps only move chunks between R and the pool.
   {
     std::vector<ChunkRef> residual;
     residual.reserve(chunks.size());
@@ -192,65 +373,25 @@ std::vector<ChunkRef> find_one_set(MatchContext& ctx,
   long swaps_committed = 0;
   while (options.optimize && !chunks.empty() &&
          static_cast<int>(r.size()) < ctx.capacity()) {
-    const int max_gain = ctx.capacity() - static_cast<int>(r.size());
-    size_t best_i = 0, best_j = 0;
-    std::vector<ChunkRef> best_gain_set;
-
-    for (size_t i = 0; i < r.size(); ++i) {
-      // Base matcher over R − {Ci}, shared by every j (the probe for
-      // R' = R ∪ {Cj} − {Ci} is a copy plus one group insertion).
-      IncrementalMatcher base = ctx.make_matcher();
-      bool feasible = true;
-      for (size_t t = 0; t < r.size() && feasible; ++t) {
-        if (t == i) continue;
-        feasible = ctx.try_match(base, r[t]);
-      }
-      if (!feasible) continue;  // cannot happen for subsets, defensive
-      for (size_t j = 0; j < chunks.size(); ++j) {
-        IncrementalMatcher probe = base;
-        if (!ctx.try_match(probe, chunks[j])) continue;
-
-        // Grow R' with whatever residual chunks now fit (Lines 24–29).
-        std::vector<ChunkRef> gain_set;
-        for (size_t l = 0; l < chunks.size(); ++l) {
-          if (l == j) continue;
-          // |R'| = |R| + gains; stop once the set-size cap is reached.
-          if (static_cast<int>(r.size() + gain_set.size()) >=
-              ctx.capacity()) {
-            break;
-          }
-          if (ctx.try_match(probe, chunks[l])) {
-            gain_set.push_back(chunks[l]);
-          }
-        }
-        if (gain_set.size() > best_gain_set.size()) {
-          best_i = i;
-          best_j = j;
-          best_gain_set = std::move(gain_set);
-          if (static_cast<int>(best_gain_set.size()) >= max_gain) break;
-        }
-      }
-      if (static_cast<int>(best_gain_set.size()) >= max_gain) break;
-    }
-
-    if (best_gain_set.empty()) break;  // Line 36: no further expansion
+    const Swap swap = best_swap(ctx, r, chunks, pool, stats);
+    if (swap.gain_set.empty()) break;  // Line 36: no further expansion
     ++swaps_committed;
     if (stats != nullptr) ++stats->swaps;
 
     // Lines 33–35: commit the swap. Ci* returns to the residual pool,
     // Cj* and the gain set join R.
-    const ChunkRef swapped_out = r[best_i];
-    const ChunkRef swapped_in = chunks[best_j];
-    r.erase(r.begin() + static_cast<ptrdiff_t>(best_i));
+    const ChunkRef swapped_out = r[swap.i];
+    const ChunkRef swapped_in = chunks[swap.j];
+    r.erase(r.begin() + static_cast<ptrdiff_t>(swap.i));
     r.push_back(swapped_in);
-    for (ChunkRef c : best_gain_set) r.push_back(c);
+    for (ChunkRef c : swap.gain_set) r.push_back(c);
 
     std::vector<ChunkRef> residual;
     residual.reserve(chunks.size());
     for (ChunkRef c : chunks) {
       if (c == swapped_in) continue;
-      if (std::find(best_gain_set.begin(), best_gain_set.end(), c) !=
-          best_gain_set.end()) {
+      if (std::find(swap.gain_set.begin(), swap.gain_set.end(), c) !=
+          swap.gain_set.end()) {
         continue;
       }
       residual.push_back(c);
@@ -318,6 +459,9 @@ std::vector<std::vector<ChunkRef>> find_reconstruction_sets_for(
   MatchContext ctx(layout, cluster::kNoNode, healthy_sources, k_repair,
                    options.max_set_size, stats, code, options.topology,
                    &options.deprioritized);
+  // Swap-pass helpers, started by the first swap iteration with two or
+  // more rows and joined when this call returns.
+  std::unique_ptr<ThreadPool> pool;
 
   std::vector<std::vector<ChunkRef>> sets;
 
@@ -332,7 +476,7 @@ std::vector<std::vector<ChunkRef>> find_reconstruction_sets_for(
     std::vector<ChunkRef> group(all_chunks.begin() + static_cast<ptrdiff_t>(start),
                                 all_chunks.begin() + static_cast<ptrdiff_t>(end));
     while (!group.empty()) {
-      sets.push_back(find_one_set(ctx, group, options, stats));
+      sets.push_back(find_one_set(ctx, group, options, pool, stats));
     }
   }
   return sets;

@@ -45,11 +45,17 @@ struct ReconSetOptions {
   std::vector<cluster::NodeId> deprioritized;
 };
 
-/// Counters for the microbenchmarks.
+/// Counters for the microbenchmarks. All but swap_rows_discarded are
+/// deterministic: the swap pass evaluates its rows in parallel but
+/// counts them as the serial loop would.
 struct ReconSetStats {
   long match_calls = 0;  // MATCH invocations
   long swaps = 0;        // accepted swap optimizations
   long sweep_adds = 0;   // chunks added by the post-swap maximality sweep
+  long swap_rows = 0;    // swap-pass rows folded (the serial loop's rows)
+  /// Rows evaluated past an iteration's stop row and thrown away: the
+  /// speculative work parallelism wastes. Depends on thread timing.
+  long swap_rows_discarded = 0;
 };
 
 /// Returns reconstruction sets covering every chunk the STF node stores,

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "ec/lrc_code.h"
 #include "net/topology.h"
@@ -336,6 +337,43 @@ TEST(ReconSets, SwapPassReproducesRecordedSetsAndStats) {
     EXPECT_EQ(got.match_calls, want.match_calls);
     EXPECT_EQ(got.swaps, want.swaps);
     EXPECT_EQ(got.sweep_adds, want.sweep_adds);
+  }
+}
+
+TEST(ReconSets, ConcurrentCallersGetIdenticalSets) {
+  // Each call owns its swap-pass helpers: four callers at once must each
+  // get the single-threaded result, with no shared state between calls.
+  constexpr int kM = 100;
+  const auto layout = pinned_layout(kM, 9, 120, 1);
+  std::vector<NodeId> healthy;
+  for (NodeId n = 1; n < kM; ++n) healthy.push_back(n);
+
+  ReconSetStats want_stats;
+  const auto want =
+      find_reconstruction_sets(layout, 0, healthy, 6, {}, &want_stats);
+  ASSERT_GT(want_stats.swaps, 0);
+
+  constexpr int kCallers = 4;
+  std::vector<std::vector<std::vector<ChunkRef>>> got(kCallers);
+  std::vector<ReconSetStats> got_stats(kCallers);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      got[static_cast<size_t>(t)] = find_reconstruction_sets(
+          layout, 0, healthy, 6, {}, &got_stats[static_cast<size_t>(t)]);
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (int t = 0; t < kCallers; ++t) {
+    SCOPED_TRACE("caller " + std::to_string(t));
+    const ReconSetStats& stats = got_stats[static_cast<size_t>(t)];
+    EXPECT_EQ(got[static_cast<size_t>(t)], want);
+    EXPECT_EQ(stats.match_calls, want_stats.match_calls);
+    EXPECT_EQ(stats.swaps, want_stats.swaps);
+    EXPECT_EQ(stats.sweep_adds, want_stats.sweep_adds);
+    // swap_rows_discarded depends on thread timing; every other counter
+    // is the serial loop's.
+    EXPECT_EQ(stats.swap_rows, want_stats.swap_rows);
   }
 }
 
