@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -255,8 +254,7 @@ TEST(ReconSets, SwapPassReproducesRecordedSetsAndStats) {
   constexpr int kM = 100;
   const ec::LrcCode lrc(12, 2, 2);
   const net::Topology racks(10, 10, net::Oversub(4.0));
-  std::vector<NodeId> healthy;
-  for (NodeId n = 1; n < kM; ++n) healthy.push_back(n);
+  const auto healthy = healthy_except(kM, 0);
 
   struct Case {
     std::string name;
@@ -345,8 +343,7 @@ TEST(ReconSets, ConcurrentCallersGetIdenticalSets) {
   // get the single-threaded result, with no shared state between calls.
   constexpr int kM = 100;
   const auto layout = pinned_layout(kM, 9, 120, 1);
-  std::vector<NodeId> healthy;
-  for (NodeId n = 1; n < kM; ++n) healthy.push_back(n);
+  const auto healthy = healthy_except(kM, 0);
 
   ReconSetStats want_stats;
   const auto want =
