@@ -5,6 +5,7 @@
 #include "core/recon_sets.h"
 #include "ec/rs_code.h"
 #include "gf/gf256.h"
+#include "matching/feasibility_matcher.h"
 #include "matching/hopcroft_karp.h"
 #include "matching/incremental_matching.h"
 #include "util/rng.h"
@@ -146,9 +147,9 @@ void BM_HopcroftKarp(benchmark::State& state) {
 }
 BENCHMARK(BM_HopcroftKarp)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_IncrementalGroupInsert(benchmark::State& state) {
-  // The MATCH probe pattern of Algorithm 1: insert groups of k=6 slots
-  // over 99 left vertices until saturation, reset, repeat.
+/// The MATCH probe pattern of Algorithm 1: groups of k=6 slots over 99
+/// left vertices, inserted until saturation, then reset.
+std::vector<std::vector<int>> group_adjacencies() {
   Rng rng(99);
   std::vector<std::vector<int>> adjacencies;
   for (int i = 0; i < 32; ++i) {
@@ -158,6 +159,12 @@ void BM_IncrementalGroupInsert(benchmark::State& state) {
     }
     adjacencies.push_back(std::move(adj));
   }
+  return adjacencies;
+}
+
+/// Placement's copy-level matcher on the MATCH pattern.
+void BM_IncrementalGroupInsert(benchmark::State& state) {
+  const auto adjacencies = group_adjacencies();
   matching::IncrementalMatcher matcher(99);
   for (auto _ : state) {
     matcher.reset();
@@ -167,6 +174,19 @@ void BM_IncrementalGroupInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IncrementalGroupInsert);
+
+/// Algorithm 1's MATCH: the feasibility matcher on the same pattern.
+void BM_FeasibilityGroupInsert(benchmark::State& state) {
+  const auto adjacencies = group_adjacencies();
+  matching::FeasibilityMatcher matcher(99);
+  for (auto _ : state) {
+    matcher.reset();
+    for (const auto& adj : adjacencies) {
+      benchmark::DoNotOptimize(matcher.try_add_group(adj, 6));
+    }
+  }
+}
+BENCHMARK(BM_FeasibilityGroupInsert);
 
 void BM_FindReconstructionSets(benchmark::State& state) {
   const int chunks = static_cast<int>(state.range(0));

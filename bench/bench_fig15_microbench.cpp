@@ -9,7 +9,8 @@
 //
 // `--smoke` is a determinism gate with no timing: part (b)'s layouts at
 // |C| = 100 and 200, swap pass on and off, must reproduce their recorded
-// set counts and MATCH calls; exit code 1 on any difference.
+// set counts, MATCH calls and FNV-1a digest of the ordered sets; exit
+// code 1 on any difference.
 #include <chrono>
 #include <cstring>
 
@@ -45,19 +46,44 @@ std::vector<NodeId> healthy(int num_nodes) {
 constexpr int kM = 100;
 constexpr int kN = 9, kK = 6;
 
+/// FNV-1a over the set count, then each set's size and its chunks in
+/// order: equal digests mean the same sets in the same order.
+uint64_t sets_digest(const std::vector<std::vector<cluster::ChunkRef>>& sets) {
+  uint64_t hash = 14695981039346656037ULL;
+  const auto add = [&](int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= static_cast<uint8_t>(static_cast<uint64_t>(value) >>
+                                   (8 * byte));
+      hash *= 1099511628211ULL;
+    }
+  };
+  add(static_cast<int64_t>(sets.size()));
+  for (const auto& set : sets) {
+    add(static_cast<int64_t>(set.size()));
+    for (const cluster::ChunkRef c : set) {
+      add(c.stripe);
+      add(c.index);
+    }
+  }
+  return hash;
+}
+
 int run_smoke() {
   struct Expected {
     int chunks;
     bool optimize;
     size_t sets;
     long match_calls;
+    uint64_t digest;
   };
-  // Recorded with the serial swap pass.
+  // Sets and match calls recorded with the serial swap pass; digests
+  // recorded with the row-parallel swap pass and the copy-level matcher
+  // (same sets), before MATCH moved to the feasibility matcher.
   const Expected expected[] = {
-      {100, true, 9, 89725},
-      {100, false, 10, 502},
-      {200, true, 16, 506114},
-      {200, false, 18, 1752},
+      {100, true, 9, 89725, 0x1824165828db5eecULL},
+      {100, false, 10, 502, 0xbcc07670e5d625c1ULL},
+      {200, true, 16, 506114, 0xa23c4850ae6960ddULL},
+      {200, false, 18, 1752, 0x2357f3e2feda1a93ULL},
   };
   bool ok = true;
   for (const Expected& e : expected) {
@@ -68,10 +94,13 @@ int run_smoke() {
     core::ReconSetStats stats;
     const auto sets = core::find_reconstruction_sets(layout, 0, healthy(kM),
                                                      kK, opts, &stats);
+    const uint64_t digest = sets_digest(sets);
     const bool match = sets.size() == e.sets &&
-                       stats.match_calls == e.match_calls;
-    std::printf("|C|=%d swap=%s: sets=%zu match_calls=%ld%s\n", e.chunks,
-                e.optimize ? "on" : "off", sets.size(), stats.match_calls,
+                       stats.match_calls == e.match_calls &&
+                       digest == e.digest;
+    std::printf("|C|=%d swap=%s: sets=%zu match_calls=%ld digest=%#018llx%s\n",
+                e.chunks, e.optimize ? "on" : "off", sets.size(),
+                stats.match_calls, static_cast<unsigned long long>(digest),
                 match ? "" : "  (MISMATCH)");
     ok = ok && match;
   }

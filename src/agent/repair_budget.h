@@ -16,7 +16,6 @@
 // TokenBucket::acquire happens strictly after it is released.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "cluster/types.h"
@@ -49,18 +48,34 @@ class PressureSource {
 /// construction, but the foreground workload is usually built *after*
 /// the testbed. Agents point here; the testbed retargets it once the
 /// workload exists. Unset target = zero pressure.
+///
+/// Retargeting is quiescent: sample() holds the mutex (rank
+/// agent.pressure_source, below the workload's own locks) across the
+/// target's sample(), so set_target() returns only once no sample() on
+/// the old target is still running, and the caller may destroy it right
+/// away. Agents sample only on ping and lease paths, so the serialized
+/// samples cost nothing measurable.
 class ForwardingPressureSource final : public PressureSource {
  public:
-  void set_target(PressureSource* target) {
-    target_.store(target, std::memory_order_release);
+  void set_target(PressureSource* target) FASTPR_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    target_ = target;
   }
-  NodePressure sample(cluster::NodeId node) override {
-    PressureSource* t = target_.load(std::memory_order_acquire);
-    return t != nullptr ? t->sample(node) : NodePressure{};
+  /// set_target(nullptr) if `target` is the current target, so a source
+  /// can unhook itself on destruction without clearing a successor.
+  void detach(PressureSource* target) FASTPR_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    if (target_ == target) target_ = nullptr;
+  }
+  NodePressure sample(cluster::NodeId node) override
+      FASTPR_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return target_ != nullptr ? target_->sample(node) : NodePressure{};
   }
 
  private:
-  std::atomic<PressureSource*> target_{nullptr};
+  Mutex mutex_{lock_order::kAgentPressureSource};
+  PressureSource* target_ FASTPR_GUARDED_BY(mutex_) = nullptr;
 };
 
 class RepairBudget {

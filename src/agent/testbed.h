@@ -159,8 +159,14 @@ class Testbed {
 
   /// Retargets every agent's pressure sampling (the foreground
   /// workload implements PressureSource). nullptr = zero pressure.
+  /// Returns once no agent is still sampling the previous source.
   void set_pressure_source(PressureSource* source) {
     pressure_.set_target(source);
+  }
+  /// Clears the pressure source if it is `source` (a source unhooking
+  /// itself before it is destroyed).
+  void detach_pressure_source(PressureSource* source) {
+    pressure_.detach(source);
   }
 
   /// The in-process transport, or nullptr under --use-tcp. Foreground

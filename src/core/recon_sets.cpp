@@ -10,7 +10,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "matching/incremental_matching.h"
+#include "matching/feasibility_matcher.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -21,7 +21,7 @@ namespace {
 using cluster::ChunkRef;
 using cluster::NodeId;
 using cluster::StripeLayout;
-using matching::IncrementalMatcher;
+using matching::FeasibilityMatcher;
 
 /// Shared context: node→left-index mapping and per-stripe adjacency.
 class MatchContext {
@@ -55,8 +55,8 @@ class MatchContext {
   int k() const { return k_; }
 
   /// Fresh matcher over the source nodes.
-  IncrementalMatcher make_matcher() const {
-    return IncrementalMatcher(left_count_);
+  FeasibilityMatcher make_matcher() const {
+    return FeasibilityMatcher(left_count_);
   }
 
   /// Helper chunks this particular chunk's repair fetches.
@@ -101,10 +101,10 @@ class MatchContext {
   }
 
   /// The MATCH function: can `chunk` join the set held by `matcher`?
-  /// On success the k slot vertices stay committed. Caches the chunk's
+  /// On success the chunk stays committed. Caches the chunk's
   /// adjacency even when the arithmetic prune answers, so every chunk
   /// MATCH has seen can later be probed read-only.
-  bool try_match(IncrementalMatcher& matcher, ChunkRef chunk) {
+  bool try_match(FeasibilityMatcher& matcher, ChunkRef chunk) {
     slot_adjacency(chunk);
     long calls = 0;
     const bool matched = probe(matcher, chunk, calls);
@@ -115,7 +115,7 @@ class MatchContext {
   /// MATCH over the adjacency cache only, counting into `match_calls`.
   /// Safe to call from several threads while nothing mutates the
   /// context: it never fills the cache, so `chunk` must already be in it.
-  bool probe(IncrementalMatcher& matcher, ChunkRef chunk,
+  bool probe(FeasibilityMatcher& matcher, ChunkRef chunk,
              long& match_calls) const {
     ++match_calls;
     const int k_this = fetch_count(chunk);
@@ -139,10 +139,9 @@ class MatchContext {
  private:
   /// Preference-only adjacency reorder (DESIGN.md §11): deprioritized
   /// helpers sink to the back; with a rack topology the rest are
-  /// round-robin interleaved by rack so the matcher's earlier-first
-  /// preference spreads reads over rack uplinks. No entry is ever added
-  /// or dropped, and with neither knob set the list is left untouched —
-  /// flat runs stay bit-identical.
+  /// round-robin interleaved by rack, so the matcher tries those nodes
+  /// first. No entry is ever added or dropped, so MATCH's answers — and
+  /// with them the sets — are the same as without the reorder.
   void reorder_preference(std::vector<int>& adj) const {
     if (topology_ == nullptr && deprioritized_.empty()) return;
     const auto avoided = [&](int left) {
@@ -209,7 +208,7 @@ struct SwapRow {
 void evaluate_row(const MatchContext& ctx, const std::vector<ChunkRef>& r,
                   const std::vector<ChunkRef>& chunks, size_t i,
                   int max_gain, SwapRow& row) {
-  IncrementalMatcher base = ctx.make_matcher();
+  FeasibilityMatcher base = ctx.make_matcher();
   for (size_t t = 0; t < r.size(); ++t) {
     if (t == i) continue;
     FASTPR_CHECK_MSG(ctx.probe(base, r[t], row.match_calls),
@@ -217,7 +216,7 @@ void evaluate_row(const MatchContext& ctx, const std::vector<ChunkRef>& r,
   }
   // One probe matcher and one gain buffer per row: `probe = base` and
   // clear() reuse their storage for every j.
-  IncrementalMatcher probe = ctx.make_matcher();
+  FeasibilityMatcher probe = ctx.make_matcher();
   std::vector<ChunkRef> gain_set;
   for (size_t j = 0; j < chunks.size(); ++j) {
     probe = base;
@@ -349,7 +348,7 @@ std::vector<ChunkRef> find_one_set(MatchContext& ctx,
                                    std::unique_ptr<ThreadPool>& pool,
                                    ReconSetStats* stats) {
   std::vector<ChunkRef> r;
-  IncrementalMatcher matcher = ctx.make_matcher();
+  FeasibilityMatcher matcher = ctx.make_matcher();
 
   // Lines 10–17: greedy initial set. When it ends below capacity it has
   // run MATCH on every chunk, so the adjacency cache the swap rows read
@@ -488,7 +487,7 @@ bool is_valid_reconstruction_set(const StripeLayout& layout, NodeId stf,
                                  const std::vector<ChunkRef>& set,
                                  const ec::ErasureCode* code) {
   MatchContext ctx(layout, stf, healthy, k_repair, 0, nullptr, code);
-  IncrementalMatcher matcher = ctx.make_matcher();
+  FeasibilityMatcher matcher = ctx.make_matcher();
   for (ChunkRef c : set) {
     if (!ctx.try_match(matcher, c)) return false;
   }

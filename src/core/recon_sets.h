@@ -32,16 +32,14 @@ struct ReconSetOptions {
   int max_set_size = 0;
   /// Rack topology (DESIGN.md §11). When it names more than one rack,
   /// each chunk's helper candidates are rack-interleaved (round-robin
-  /// over racks) so the matcher — which prefers earlier adjacency
-  /// entries — spreads a set's helper reads over rack uplinks. Pure
-  /// preference: the candidate SET is unchanged, so feasibility and
-  /// maximality of Algorithm 1 are untouched, and a flat/absent
-  /// topology leaves the ordering bit-identical to the legacy code.
+  /// over racks) before MATCH searches them. Pure preference: the
+  /// candidate SET is unchanged, and MATCH only answers feasibility, so
+  /// the sets are the same as without it. Which helpers serve a set's
+  /// reads is chosen later, by placement.
   const net::Topology* topology = nullptr;
   /// Helpers to avoid when possible (e.g. nodes behind a degraded link
-  /// at bandwidth-replan time): ordered last in every adjacency list, so
-  /// they serve reads only when no other candidate keeps the matching
-  /// saturating. Preference only, same guarantee as `topology`.
+  /// at bandwidth-replan time): ordered last in every adjacency list.
+  /// Preference only, same guarantee as `topology`.
   std::vector<cluster::NodeId> deprioritized;
 };
 

@@ -66,7 +66,12 @@ ForegroundWorkload::ForegroundWorkload(agent::Testbed& testbed,
   }
 }
 
-ForegroundWorkload::~ForegroundWorkload() { stop(); }
+ForegroundWorkload::~ForegroundWorkload() {
+  stop();
+  // Agents may still sample this workload through the testbed; wait
+  // them out before the per-node windows go.
+  testbed_.detach_pressure_source(this);
+}
 
 void ForegroundWorkload::start() {
   if (running_.exchange(true)) return;

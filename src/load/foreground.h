@@ -71,7 +71,8 @@ class ForegroundWorkload final : public agent::PressureSource {
  public:
   ForegroundWorkload(agent::Testbed& testbed, const ec::ErasureCode& code,
                      const WorkloadOptions& options);
-  ~ForegroundWorkload() override;  // stops and joins
+  /// Stops and joins, then detaches from the testbed's pressure source.
+  ~ForegroundWorkload() override;
 
   void start();
   void stop();

@@ -2,7 +2,7 @@
 //
 // Used where a matching is computed once over a full graph: scattered
 // destination selection and the non-incremental reference paths in tests
-// and benches. (Algorithm 1's inner MATCH uses the incremental matcher.)
+// and benches. (Algorithm 1's inner MATCH uses the feasibility matcher.)
 #pragma once
 
 #include "matching/bipartite_graph.h"

@@ -1,20 +1,21 @@
 // Incremental bipartite matcher (Kuhn augmenting paths) with rollback.
 //
-// Algorithm 1 of the paper probes MATCH(R ∪ {Ci}) thousands of times,
-// each probe differing from the previous accepted state by one stripe's
-// k chunk vertices. Instead of recomputing a maximum matching from
-// scratch per probe (the paper's Ford–Fulkerson formulation), this
-// matcher keeps the accepted matching and tries to augment once per new
-// right vertex; a failed group insertion is rolled back. The result is
-// equivalent — a matching saturating all right vertices exists iff the
-// augmenting paths exist — but a probe costs O(k·E) instead of O(V·E).
-// Each left vertex (a node) absorbs at most one right vertex (a helper
-// read), the paper's one read per node per round.
+// Placement's source selection (core/placement.cpp) adds a round's
+// chunks one group of k copy-level right vertices at a time. Instead of
+// recomputing a maximum matching from scratch per group (the paper's
+// Ford–Fulkerson formulation), this matcher keeps the accepted matching
+// and tries to augment once per new right vertex; a failed group
+// insertion is rolled back. The result is equivalent — a matching
+// saturating all right vertices exists iff the augmenting paths exist —
+// but an insertion costs O(k·E) instead of O(V·E). Each left vertex (a
+// node) absorbs at most one right vertex (a helper read), the paper's
+// one read per node per round. matched_left() exposes which node serves
+// each read. Algorithm 1, which needs only the yes/no answer, uses
+// FeasibilityMatcher (matching/feasibility_matcher.h).
 //
 // Adjacency is held BY POINTER: group insertions record a pointer to the
 // caller's adjacency vector, which must stay valid for the matcher's
-// lifetime (Algorithm 1 caches one adjacency vector per stripe, so this
-// also makes copying a matcher — the swap-optimization probe — cheap).
+// lifetime (and makes copying a matcher cheap).
 #pragma once
 
 #include <vector>

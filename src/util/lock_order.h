@@ -38,6 +38,11 @@ struct Rank {
 };
 
 // -- control plane -------------------------------------------------------
+/// agent::ForwardingPressureSource target pointer. Held across the
+/// target's sample() so a retarget waits out in-flight samples; the
+/// workload's sample() takes load.workload under it, hence the lower
+/// rank.
+inline constexpr Rank kAgentPressureSource{12, "agent.pressure_source"};
 /// core::RepairThrottler lease/AIMD state. The coordinator thread ticks
 /// it and agents' pressure reports fold into it; holders only update
 /// budget arithmetic, never send or block.

@@ -1,13 +1,17 @@
 // Bipartite matching: Hopcroft–Karp and the incremental matcher against
-// the exhaustive oracle on random graphs; rollback semantics.
+// the exhaustive oracle on random graphs; rollback semantics; the
+// feasibility matcher against both on random group streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <random>
 
 #include "matching/brute_force.h"
+#include "matching/feasibility_matcher.h"
 #include "matching/hopcroft_karp.h"
 #include "matching/incremental_matching.h"
+#include "util/check.h"
 
 namespace fastpr::matching {
 namespace {
@@ -180,6 +184,130 @@ TEST(IncrementalMatcher, ResetClears) {
   m.reset();
   EXPECT_EQ(m.right_count(), 0);
   EXPECT_TRUE(m.try_add_group(adj, 4));
+}
+
+TEST(FeasibilityMatcher, ReroutesOccupyingGroup) {
+  // A = {0,1}×1 may take 0; B = {0}×1 fits only if A moves to 1.
+  FeasibilityMatcher m(2);
+  const std::vector<int> adj_a = {0, 1};
+  const std::vector<int> adj_b = {0};
+  ASSERT_TRUE(m.try_add_group(adj_a, 1));
+  EXPECT_TRUE(m.try_add_group(adj_b, 1));
+  EXPECT_EQ(m.right_count(), 2);
+  EXPECT_FALSE(m.try_add_group(adj_a, 1));
+}
+
+TEST(FeasibilityMatcher, FailedGroupRollsBackItsPlacedUnits) {
+  // B = {0,1,2}×3 places two units, then fails on the third because A
+  // holds 2 with nowhere else to go. Its two units must be released:
+  // C = {0,1}×2 then fits.
+  FeasibilityMatcher m(3);
+  const std::vector<int> adj_a = {2};
+  const std::vector<int> adj_b = {0, 1, 2};
+  const std::vector<int> adj_c = {0, 1};
+  ASSERT_TRUE(m.try_add_group(adj_a, 1));
+  EXPECT_FALSE(m.try_add_group(adj_b, 3));
+  EXPECT_EQ(m.right_count(), 1);
+  EXPECT_TRUE(m.try_add_group(adj_c, 2));
+  EXPECT_EQ(m.right_count(), 3);
+  m.reset();
+  EXPECT_EQ(m.right_count(), 0);
+  EXPECT_TRUE(m.try_add_group(adj_b, 3));
+}
+
+TEST(FeasibilityMatcher, RejectsBadInput) {
+  FeasibilityMatcher m(2);
+  const std::vector<int> adj = {0, 2};
+  EXPECT_THROW(m.try_add_group(adj, 1), CheckFailure);
+  const std::vector<int> ok = {0, 1};
+  EXPECT_THROW(m.try_add_group(ok, 0), CheckFailure);
+}
+
+TEST(FeasibilityMatcher, AgreesWithIncrementalMatcherAndHopcroftKarp) {
+  // Random group streams with demand 1..6 over 20 left vertices, mixed
+  // with reset() and with `probe = base` copy-assign reuse (Algorithm
+  // 1's swap rows). Every insertion must be accepted exactly when the
+  // copy-level IncrementalMatcher accepts it and exactly when
+  // Hopcroft–Karp saturates the group's copies, with equal
+  // right_count().
+  constexpr int kLeft = 20;
+  constexpr int kMaxDemand = 6;
+  struct Side {
+    FeasibilityMatcher feasibility{kLeft};
+    IncrementalMatcher incremental{kLeft};
+    BipartiteGraph graph{kLeft, {}};
+  };
+  std::mt19937 rng(4242);
+  int accepted = 0, rejected = 0, rejected_after_partial = 0;
+  int resets = 0, copies = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    // deque: both matchers hold adjacency by pointer.
+    std::deque<std::vector<int>> adjacency;
+    Side base;
+    Side probe;
+    const double density =
+        0.15 + 0.35 * static_cast<double>(rng() % 100) / 100.0;
+    for (int step = 0; step < 40; ++step) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trial=" << trial << " step=" << step);
+      switch (rng() % 12) {
+        case 0:
+          probe.feasibility.reset();
+          probe.incremental.reset();
+          probe.graph.right_adj.clear();
+          ++resets;
+          continue;
+        case 1:
+          probe = base;
+          ++copies;
+          continue;
+        case 2:
+          base = probe;
+          continue;
+        default:
+          break;
+      }
+      std::vector<int> adj;
+      for (int l = 0; l < kLeft; ++l) {
+        if (static_cast<double>(rng() % 1000) < density * 1000) {
+          adj.push_back(l);
+        }
+      }
+      std::shuffle(adj.begin(), adj.end(), rng);
+      const int demand = 1 + static_cast<int>(rng() % kMaxDemand);
+      adjacency.push_back(std::move(adj));
+
+      BipartiteGraph tentative = probe.graph;
+      for (int c = 0; c < demand; ++c) {
+        tentative.add_right_vertex(adjacency.back());
+      }
+      const int hk_size = hopcroft_karp(tentative).size;
+      const bool hk_saturates = hk_size == tentative.right_count();
+
+      const bool by_feasibility =
+          probe.feasibility.try_add_group(adjacency.back(), demand);
+      const bool by_incremental =
+          probe.incremental.try_add_group(adjacency.back(), demand);
+      EXPECT_EQ(by_feasibility, hk_saturates);
+      EXPECT_EQ(by_incremental, hk_saturates);
+      if (hk_saturates) {
+        probe.graph = std::move(tentative);
+        ++accepted;
+      } else {
+        ++rejected;
+        if (hk_size > probe.graph.right_count()) ++rejected_after_partial;
+      }
+      EXPECT_EQ(probe.feasibility.right_count(),
+                probe.incremental.right_count());
+      EXPECT_EQ(probe.feasibility.right_count(), probe.graph.right_count());
+    }
+  }
+  // The stream really covered every path the differential is about.
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(rejected, 500);
+  EXPECT_GT(rejected_after_partial, 100);
+  EXPECT_GT(resets, 50);
+  EXPECT_GT(copies, 50);
 }
 
 }  // namespace

@@ -2,11 +2,15 @@
 // expiry returning budget to the pool, sequence-stamped grants that
 // cannot double-apply, panic mode, and throttler state surviving a
 // mid-repair STF death. All with synthetic time — the throttler and the
-// budget take `now_us` from the caller.
+// budget take `now_us` from the caller. Also the pressure-source
+// indirection agents sample through, retargeted under live sampling.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "agent/repair_budget.h"
 #include "core/repair_throttler.h"
@@ -308,6 +312,78 @@ TEST(RepairBudget, ReleaseUnblocksAndIsSticky) {
   EXPECT_FALSE(b.apply_grant(2, 1.0, 1000, 2'000'000));
   b.acquire(100'000'000, 5'000'000);  // returns immediately (unlimited)
   EXPECT_DOUBLE_EQ(b.current_rate(), 0.0);
+}
+
+/// Counts samples that reach it after retire(): the foreground
+/// workload's teardown, where a late sample reads freed state.
+class RetirablePressureSource final : public agent::PressureSource {
+ public:
+  RetirablePressureSource(double id, std::atomic<int>* late_samples)
+      : id_(id), late_samples_(late_samples) {}
+
+  agent::NodePressure sample(cluster::NodeId /*node*/) override {
+    if (retired_.load()) late_samples_->fetch_add(1);
+    // Stay inside sample() a while so a retarget overlaps it.
+    for (int spin = 0; spin < 100; ++spin) {
+      samples_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (retired_.load()) late_samples_->fetch_add(1);
+    return {id_, 0};
+  }
+  long samples() const { return samples_.load(); }
+  void retire() { retired_.store(true); }
+
+ private:
+  const double id_;
+  std::atomic<int>* late_samples_;
+  std::atomic<long> samples_{0};
+  std::atomic<bool> retired_{false};
+};
+
+TEST(ForwardingPressureSource, RetargetWaitsOutInFlightSamples) {
+  // Three agent threads sample nonstop while the main thread retargets
+  // and destroys the old source the moment set_target() returns. No
+  // sample may still be running on a retired source; under tsan or asan
+  // a sample reaching the destroyed source is also a report.
+  agent::ForwardingPressureSource forward;
+  std::atomic<int> late_samples{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> agents;
+  for (cluster::NodeId node = 0; node < 3; ++node) {
+    agents.emplace_back([&, node] {
+      while (!stop.load()) (void)forward.sample(node);
+    });
+  }
+  auto current = std::make_unique<RetirablePressureSource>(0, &late_samples);
+  forward.set_target(current.get());
+  for (int round = 1; round <= 200; ++round) {
+    // Let the agents get into the current source first.
+    while (current->samples() == 0) std::this_thread::yield();
+    auto next = std::make_unique<RetirablePressureSource>(round,
+                                                          &late_samples);
+    forward.set_target(round % 4 == 0 ? nullptr : next.get());
+    current->retire();
+    current = std::move(next);
+    if (round % 4 == 0) forward.set_target(current.get());
+  }
+  forward.set_target(nullptr);
+  current->retire();
+  stop.store(true);
+  for (auto& t : agents) t.join();
+  EXPECT_EQ(late_samples.load(), 0);
+}
+
+TEST(ForwardingPressureSource, DetachClearsOnlyItsOwnTarget) {
+  agent::ForwardingPressureSource forward;
+  std::atomic<int> late_samples{0};
+  RetirablePressureSource a(1, &late_samples);
+  RetirablePressureSource b(2, &late_samples);
+  EXPECT_DOUBLE_EQ(forward.sample(0).p99_seconds, 0);  // unset: zero
+  forward.set_target(&a);
+  forward.detach(&b);  // not the target: no effect
+  EXPECT_DOUBLE_EQ(forward.sample(0).p99_seconds, 1);
+  forward.detach(&a);
+  EXPECT_DOUBLE_EQ(forward.sample(0).p99_seconds, 0);
 }
 
 }  // namespace
