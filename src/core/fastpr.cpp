@@ -115,8 +115,6 @@ ReconSetOptions FastPrPlanner::effective_recon_options() const {
   opts.max_set_size = options_.scenario == Scenario::kScattered
                           ? scattered_round_capacity()
                           : 0;
-  opts.topology = options_.topology;
-  opts.deprioritized.clear();
   return opts;
 }
 
@@ -331,10 +329,6 @@ ReactiveReplan FastPrPlanner::plan_reactive(
   reactive.chunk_bytes = options_.chunk_bytes;
   reactive.code = options_.code;
   reactive.recon = options_.recon;
-  // Reactive rounds keep the helper rack-spreading preference; the rack
-  // destination invariant is best-effort in degraded mode (survival
-  // beats placement quality once data is at risk).
-  reactive.recon.topology = options_.topology;
   ReactivePlanner planner(layout_, cluster_, reactive);
   ReactiveResult result = planner.plan_chunks(remaining, dead);
   out.plan = std::move(result.plan);
@@ -362,12 +356,12 @@ RepairPlan FastPrPlanner::plan_fastpr_remaining(
   // Stragglers are planned around structurally: chunks that can still
   // reach k' helpers without the deprioritized nodes form their sets
   // over the REDUCED source list, so those rounds are matchable with
-  // zero straggler reads by construction. Preference ordering alone
-  // cannot deliver that — Algorithm 1 packs rounds to the full node
-  // count's capacity, leaving the per-round matching too saturated to
-  // route around even one avoided node. Chunks whose stripes lost too
-  // many holders to the straggler set fall back to the full source
-  // list with the stragglers merely deprioritized.
+  // zero straggler reads by construction. Steering reads at placement
+  // alone cannot deliver that — Algorithm 1 packs rounds to the full
+  // node count's capacity, leaving the per-round matching too saturated
+  // to route around even one avoided node. Chunks whose stripes lost too
+  // many holders to the straggler set form their sets over the full
+  // source list, and placement's `deprioritized` steers their reads.
   std::vector<ChunkRef> tainted;
   bool reduced = false;
   if (!deprioritized.empty()) {
@@ -398,12 +392,10 @@ RepairPlan FastPrPlanner::plan_fastpr_remaining(
   }
   if (!reduced) tainted = std::move(remaining);
   if (!tainted.empty()) {
-    ReconSetOptions tainted_recon = recon;
-    tainted_recon.deprioritized = deprioritized;
     auto tainted_sets =
         find_reconstruction_sets_for(tainted, layout_, sources,
-                                     options_.k_repair, tainted_recon,
-                                     &stats, options_.code);
+                                     options_.k_repair, recon, &stats,
+                                     options_.code);
     for (auto& set : tainted_sets) sets.push_back(std::move(set));
   }
 

@@ -21,6 +21,7 @@
 #include "core/recon_sets.h"
 #include "core/repair_plan.h"
 #include "core/scheduler.h"
+#include "net/topology.h"
 
 namespace fastpr::core {
 
@@ -58,15 +59,15 @@ struct PlannerOptions {
   /// chunk counts) instead of an arbitrary maximum matching.
   bool balance_destinations = false;
   /// Rack topology (DESIGN.md §11). When multi-rack, the cost model
-  /// charges cross-rack transfers the oversubscription penalty, helper
-  /// reads are rack-interleaved, and scattered placement turns
-  /// rack-aware (failure-domain invariant + in-rack migrations +
-  /// destination spreading). Null or single-rack: flat planning,
-  /// bit-identical to the legacy path. Must outlive the planner.
+  /// charges cross-rack transfers the oversubscription penalty and
+  /// scattered placement turns rack-aware (rack-interleaved helper
+  /// reads, failure-domain invariant, in-rack migrations, destination
+  /// spreading); Algorithm 1 ignores racks. Null or single-rack: flat
+  /// planning, bit-identical to the legacy path. Must outlive the
+  /// planner.
   const net::Topology* topology = nullptr;
   /// Algorithm 1 knobs: callers choose `optimize` and
-  /// `chunk_group_size`; the planner derives `max_set_size`, `topology`
-  /// and `deprioritized` itself.
+  /// `chunk_group_size`; the planner derives `max_set_size` itself.
   ReconSetOptions recon;
   SchedulerOptions sched;
 };
@@ -118,10 +119,10 @@ class FastPrPlanner {
   /// structurally: chunks that can reach k' helpers without them form
   /// their reconstruction sets over the reduced source list, so those
   /// rounds carry zero straggler reads by construction; chunks whose
-  /// stripes need a straggler fall back to the full list with the
-  /// stragglers ordered last in every adjacency. Never sacrifices
-  /// repairability — only read placement. Covers the first batch member
-  /// only.
+  /// stripes need a straggler fall back to the full list, and placement
+  /// keeps reads off the stragglers wherever a round allows it. Never
+  /// sacrifices repairability — only read placement. Covers the first
+  /// batch member only.
   RepairPlan plan_fastpr_remaining(
       const std::vector<cluster::ChunkRef>& already_repaired,
       const std::vector<cluster::NodeId>& deprioritized);

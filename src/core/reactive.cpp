@@ -114,7 +114,6 @@ ReactiveResult ReactivePlanner::plan_chunks(
     FASTPR_CHECK_MSG(recon.max_set_size >= 1,
                      "cluster too small for scattered repair");
   }
-  recon.deprioritized.clear();
   const auto sets = find_reconstruction_sets_for(
       matchable, layout_, healthy, options_.k_repair, recon, nullptr,
       options_.code);

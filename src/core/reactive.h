@@ -26,9 +26,8 @@ struct ReactiveOptions {
   int k_repair = 6;
   double chunk_bytes = 0;
   const ec::ErasureCode* code = nullptr;
-  /// Algorithm 1 knobs: `optimize`, `chunk_group_size` and the helper
-  /// rack-spreading `topology`; the planner derives `max_set_size` and
-  /// avoids no helper.
+  /// Algorithm 1 knobs: callers choose `optimize` and
+  /// `chunk_group_size`; the planner derives `max_set_size`.
   ReconSetOptions recon;
 };
 

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <exception>
 #include <future>
-#include <map>
 #include <memory>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "matching/feasibility_matcher.h"
 #include "util/check.h"
@@ -26,33 +24,20 @@ using matching::FeasibilityMatcher;
 /// Shared context: node→left-index mapping and per-stripe adjacency.
 class MatchContext {
  public:
-  MatchContext(const StripeLayout& layout, NodeId stf,
-               const std::vector<NodeId>& healthy, int k_repair,
-               int max_set_size, ReconSetStats* stats,
-               const ec::ErasureCode* code,
-               const net::Topology* topology = nullptr,
-               const std::vector<NodeId>* deprioritized = nullptr)
+  MatchContext(const StripeLayout& layout, const std::vector<NodeId>& healthy,
+               int k_repair, int max_set_size, ReconSetStats* stats,
+               const ec::ErasureCode* code)
       : layout_(layout),
-        stf_(stf),
         k_(k_repair),
         max_set_size_(max_set_size),
         stats_(stats),
-        code_(code),
-        healthy_(healthy) {
+        code_(code) {
     left_of_node_.reserve(healthy.size());
     for (size_t i = 0; i < healthy.size(); ++i) {
-      FASTPR_CHECK(stf == cluster::kNoNode || healthy[i] != stf);
       left_of_node_[healthy[i]] = static_cast<int>(i);
     }
     left_count_ = static_cast<int>(healthy.size());
-    if (topology != nullptr && !topology->is_flat()) topology_ = topology;
-    if (deprioritized != nullptr && !deprioritized->empty()) {
-      deprioritized_.insert(deprioritized->begin(), deprioritized->end());
-    }
   }
-
-  int left_count() const { return left_count_; }
-  int k() const { return k_; }
 
   /// Fresh matcher over the source nodes.
   FeasibilityMatcher make_matcher() const {
@@ -75,14 +60,13 @@ class MatchContext {
 
   /// Adjacency of one helper slot for `chunk`: left indices of eligible
   /// nodes storing a VALID helper chunk (code-aware for LRC locality;
-  /// excludes the STF node and nodes outside the healthy source list).
+  /// excludes nodes outside the healthy source list).
   const std::vector<int>& slot_adjacency(ChunkRef chunk) {
     auto it = chunk_adj_.find(chunk);
     if (it != chunk_adj_.end()) return it->second;
     const auto& nodes = layout_.stripe_nodes(chunk.stripe);
     std::vector<int> adj;
     auto consider = [&](NodeId node) {
-      if (node == stf_) return;
       const auto li = left_of_node_.find(node);
       if (li != left_of_node_.end()) adj.push_back(li->second);
     };
@@ -96,7 +80,6 @@ class MatchContext {
     FASTPR_CHECK_MSG(static_cast<int>(adj.size()) >= fetch_count(chunk),
                      "stripe " << chunk.stripe
                                << " has fewer than k' healthy sources");
-    reorder_preference(adj);
     return chunk_adj_.emplace(chunk, std::move(adj)).first->second;
   }
 
@@ -137,53 +120,11 @@ class MatchContext {
   }
 
  private:
-  /// Preference-only adjacency reorder (DESIGN.md §11): deprioritized
-  /// helpers sink to the back; with a rack topology the rest are
-  /// round-robin interleaved by rack, so the matcher tries those nodes
-  /// first. No entry is ever added or dropped, so MATCH's answers — and
-  /// with them the sets — are the same as without the reorder.
-  void reorder_preference(std::vector<int>& adj) const {
-    if (topology_ == nullptr && deprioritized_.empty()) return;
-    const auto avoided = [&](int left) {
-      return deprioritized_.count(healthy_[static_cast<size_t>(left)]) > 0;
-    };
-    std::stable_partition(adj.begin(), adj.end(),
-                          [&](int left) { return !avoided(left); });
-    if (topology_ == nullptr) return;
-    const auto preferred_end =
-        std::find_if(adj.begin(), adj.end(), avoided);
-    // Bucket the preferred prefix by rack (stable), then deal the
-    // buckets out round-robin.
-    std::map<int, std::vector<int>> by_rack;
-    for (auto it = adj.begin(); it != preferred_end; ++it) {
-      by_rack[topology_->rack_of(healthy_[static_cast<size_t>(*it)])]
-          .push_back(*it);
-    }
-    auto out = adj.begin();
-    size_t depth = 0;
-    bool emitted = true;
-    while (emitted) {
-      emitted = false;
-      for (auto& [rack, lefts] : by_rack) {
-        (void)rack;
-        if (depth < lefts.size()) {
-          *out++ = lefts[depth];
-          emitted = true;
-        }
-      }
-      ++depth;
-    }
-  }
-
   const StripeLayout& layout_;
-  NodeId stf_;
   int k_;
   int max_set_size_;
   ReconSetStats* stats_;
   const ec::ErasureCode* code_;
-  std::vector<NodeId> healthy_;
-  const net::Topology* topology_ = nullptr;
-  std::unordered_set<NodeId> deprioritized_;
   int left_count_ = 0;
   std::unordered_map<NodeId, int> left_of_node_;
   std::unordered_map<ChunkRef, std::vector<int>, cluster::ChunkRefHash>
@@ -455,9 +396,8 @@ std::vector<std::vector<ChunkRef>> find_reconstruction_sets_for(
   FASTPR_CHECK_MSG(static_cast<int>(healthy_sources.size()) >= k_repair,
                    "need at least k healthy source nodes");
 
-  MatchContext ctx(layout, cluster::kNoNode, healthy_sources, k_repair,
-                   options.max_set_size, stats, code, options.topology,
-                   &options.deprioritized);
+  MatchContext ctx(layout, healthy_sources, k_repair, options.max_set_size,
+                   stats, code);
   // Swap-pass helpers, started by the first swap iteration with two or
   // more rows and joined when this call returns.
   std::unique_ptr<ThreadPool> pool;
@@ -486,7 +426,10 @@ bool is_valid_reconstruction_set(const StripeLayout& layout, NodeId stf,
                                  int k_repair,
                                  const std::vector<ChunkRef>& set,
                                  const ec::ErasureCode* code) {
-  MatchContext ctx(layout, stf, healthy, k_repair, 0, nullptr, code);
+  for (NodeId node : healthy) {
+    FASTPR_CHECK(stf == cluster::kNoNode || node != stf);
+  }
+  MatchContext ctx(layout, healthy, k_repair, 0, nullptr, code);
   FeasibilityMatcher matcher = ctx.make_matcher();
   for (ChunkRef c : set) {
     if (!ctx.try_match(matcher, c)) return false;

@@ -14,7 +14,6 @@
 #include "cluster/stripe_layout.h"
 #include "cluster/types.h"
 #include "ec/erasure_code.h"
-#include "net/topology.h"
 
 namespace fastpr::core {
 
@@ -30,17 +29,6 @@ struct ReconSetOptions {
   /// round always admits a destination matching (Hall: M - n >= cm + cr).
   /// 0 = no extra cap.
   int max_set_size = 0;
-  /// Rack topology (DESIGN.md §11). When it names more than one rack,
-  /// each chunk's helper candidates are rack-interleaved (round-robin
-  /// over racks) before MATCH searches them. Pure preference: the
-  /// candidate SET is unchanged, and MATCH only answers feasibility, so
-  /// the sets are the same as without it. Which helpers serve a set's
-  /// reads is chosen later, by placement.
-  const net::Topology* topology = nullptr;
-  /// Helpers to avoid when possible (e.g. nodes behind a degraded link
-  /// at bandwidth-replan time): ordered last in every adjacency list.
-  /// Preference only, same guarantee as `topology`.
-  std::vector<cluster::NodeId> deprioritized;
 };
 
 /// Counters for the microbenchmarks. All but swap_rows_discarded are

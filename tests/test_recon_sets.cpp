@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "ec/lrc_code.h"
-#include "net/topology.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -253,7 +252,6 @@ TEST(ReconSets, SwapPassReproducesRecordedSetsAndStats) {
   // intended change in Algorithm 1's output.
   constexpr int kM = 100;
   const ec::LrcCode lrc(12, 2, 2);
-  const net::Topology racks(10, 10, net::Oversub(4.0));
   const auto healthy = healthy_except(kM, 0);
 
   struct Case {
@@ -281,11 +279,6 @@ TEST(ReconSets, SwapPassReproducesRecordedSetsAndStats) {
     grouped.chunk_group_size = 50;
     cases.push_back({"rs96 group50" + tail, 9, 120, seed, grouped, nullptr});
     cases.push_back({"lrc1222" + tail, 16, 120, seed, {}, &lrc});
-    ReconSetOptions racked;
-    racked.topology = &racks;
-    racked.deprioritized = {17, 42};
-    cases.push_back({"rs96 racked depri" + tail, 9, 120, seed, racked,
-                     nullptr});
   }
 
   // clang-format off
@@ -305,11 +298,9 @@ TEST(ReconSets, SwapPassReproducesRecordedSetsAndStats) {
       {"rs96 max5 C120 seed1", 0xdcfc33fcf23c0e5dULL, 120, 0, 0},
       {"rs96 group50 C120 seed1", 0x2e20514cadef4a80ULL, 28124, 9, 0},
       {"lrc1222 C120 seed1", 0x9bea1baace01a55ULL, 18112, 8, 0},
-      {"rs96 racked depri C120 seed1", 0x5f7232329f241f04ULL, 121421, 13, 0},
       {"rs96 max5 C120 seed2", 0xc5d6a1ee916fcebdULL, 121, 0, 0},
       {"rs96 group50 C120 seed2", 0xe228180e9c599604ULL, 21536, 10, 0},
       {"lrc1222 C120 seed2", 0x878dfb98e6e37bbeULL, 21788, 10, 0},
-      {"rs96 racked depri C120 seed2", 0x7eeb884323306907ULL, 130011, 13, 0},
   };
   // clang-format on
 
