@@ -627,9 +627,6 @@ void Agent::handle_chain_packet(Message&& msg) {
       telemetry::MetricsRegistry::global().counter("agent.stale_packets");
   static telemetry::Counter& dup_packets =
       telemetry::MetricsRegistry::global().counter("agent.dup_packets");
-  static telemetry::Histogram& forward_ns =
-      telemetry::MetricsRegistry::global().histogram(
-          "agent.chain_forward_ns");
   rx_packets.add();
 
   const auto it = chain_tasks_.find(msg.task_id);
@@ -715,6 +712,9 @@ void Agent::handle_chain_packet(Message&& msg) {
   }
   forwards.add();
 #if FASTPR_TELEMETRY_ENABLED
+  static telemetry::Histogram& forward_ns =
+      telemetry::MetricsRegistry::global().histogram(
+          "agent.chain_forward_ns");
   forward_ns.observe(std::chrono::duration_cast<std::chrono::nanoseconds>(
                          telemetry::trace_now() - hop_start)
                          .count());

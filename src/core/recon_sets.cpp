@@ -21,6 +21,12 @@ using cluster::NodeId;
 using cluster::StripeLayout;
 using matching::FeasibilityMatcher;
 
+/// MATCH questions asked and matcher searches run to answer them.
+struct MatchCounts {
+  long calls = 0;
+  long searches = 0;
+};
+
 /// Shared context: node→left-index mapping and per-stripe adjacency.
 class MatchContext {
  public:
@@ -89,18 +95,28 @@ class MatchContext {
   /// MATCH has seen can later be probed read-only.
   bool try_match(FeasibilityMatcher& matcher, ChunkRef chunk) {
     slot_adjacency(chunk);
-    long calls = 0;
-    const bool matched = probe(matcher, chunk, calls);
-    if (stats_ != nullptr) stats_->match_calls += calls;
+    MatchCounts counts;
+    const bool matched = probe(matcher, chunk, counts);
+    if (stats_ != nullptr) {
+      stats_->match_calls += counts.calls;
+      stats_->match_searches += counts.searches;
+    }
     return matched;
   }
 
-  /// MATCH over the adjacency cache only, counting into `match_calls`.
+  /// MATCH over the adjacency cache only, counting into `counts`.
   /// Safe to call from several threads while nothing mutates the
   /// context: it never fills the cache, so `chunk` must already be in it.
   bool probe(FeasibilityMatcher& matcher, ChunkRef chunk,
-             long& match_calls) const {
-    ++match_calls;
+             MatchCounts& counts) const {
+    ++counts.calls;
+    return fits(matcher, chunk, counts);
+  }
+
+  /// The test behind MATCH, not counted as a MATCH call: does `chunk`
+  /// fit the set held by `matcher`? On success it stays committed.
+  bool fits(FeasibilityMatcher& matcher, ChunkRef chunk,
+            MatchCounts& counts) const {
     const int k_this = fetch_count(chunk);
     // Arithmetic prune: fewer than k' source nodes left unmatched.
     if (matcher.right_count() + k_this > matcher.left_count()) {
@@ -112,6 +128,7 @@ class MatchContext {
     FASTPR_CHECK_MSG(it != chunk_adj_.end(),
                      "probe of chunk " << chunk.stripe << "/" << chunk.index
                                        << " with no cached adjacency");
+    ++counts.searches;
     return matcher.try_add_group(it->second, k_this);
   }
 
@@ -138,7 +155,7 @@ struct SwapRow {
   bool evaluated = false;
   size_t best_j = 0;
   std::vector<ChunkRef> gain_set;  // best_j's gain set (empty: no gain)
-  long match_calls = 0;            // the base matcher's calls included
+  MatchCounts counts;  // the base matcher's included
   std::exception_ptr error;
 };
 
@@ -146,22 +163,39 @@ struct SwapRow {
 /// best gain and stops at the first j whose gain reaches `max_gain` —
 /// exactly where the serial loop stops inside row i and what it keeps
 /// there, because its running best stays below `max_gain` while it runs.
+///
+/// Every probe of the row tests a superset of R − {Ci}, and Hall's
+/// condition is monotone: a chunk that does not fit R − {Ci} on its own
+/// fits no superset of it. So one uncounted test per residual chunk
+/// first finds U_i, the chunks that do fit; a probe of a chunk outside
+/// U_i is then counted as the MATCH call it is and answered false with
+/// no search.
 void evaluate_row(const MatchContext& ctx, const std::vector<ChunkRef>& r,
                   const std::vector<ChunkRef>& chunks, size_t i,
                   int max_gain, SwapRow& row) {
   FeasibilityMatcher base = ctx.make_matcher();
   for (size_t t = 0; t < r.size(); ++t) {
     if (t == i) continue;
-    FASTPR_CHECK_MSG(ctx.probe(base, r[t], row.match_calls),
+    FASTPR_CHECK_MSG(ctx.probe(base, r[t], row.counts),
                      "a subset of a reconstruction set failed MATCH");
   }
   // One probe matcher and one gain buffer per row: `probe = base` and
   // clear() reuse their storage for every j.
   FeasibilityMatcher probe = ctx.make_matcher();
+  std::vector<char> in_u(chunks.size());
+  for (size_t l = 0; l < chunks.size(); ++l) {
+    probe = base;
+    in_u[l] = ctx.fits(probe, chunks[l], row.counts) ? 1 : 0;
+  }
+  const auto probe_in_u = [&](size_t l) {
+    if (in_u[l] != 0) return ctx.probe(probe, chunks[l], row.counts);
+    ++row.counts.calls;
+    return false;
+  };
   std::vector<ChunkRef> gain_set;
   for (size_t j = 0; j < chunks.size(); ++j) {
     probe = base;
-    if (!ctx.probe(probe, chunks[j], row.match_calls)) continue;
+    if (!probe_in_u(j)) continue;
 
     // Grow R' with whatever residual chunks now fit (Lines 24–29).
     gain_set.clear();
@@ -171,7 +205,7 @@ void evaluate_row(const MatchContext& ctx, const std::vector<ChunkRef>& r,
       if (static_cast<int>(r.size() + gain_set.size()) >= ctx.capacity()) {
         break;
       }
-      if (ctx.probe(probe, chunks[l], row.match_calls)) {
+      if (probe_in_u(l)) {
         gain_set.push_back(chunks[l]);
       }
     }
@@ -259,20 +293,22 @@ Swap best_swap(const MatchContext& ctx, const std::vector<ChunkRef>& r,
 
   Swap best;
   size_t folded = 0;
-  long match_calls = 0;
+  MatchCounts counts;
   while (folded < rows.size() &&
          static_cast<int>(best.gain_set.size()) < max_gain) {
     SwapRow& row = rows[folded];
     FASTPR_CHECK(row.evaluated);
     if (row.error != nullptr) std::rethrow_exception(row.error);
-    match_calls += row.match_calls;
+    counts.calls += row.counts.calls;
+    counts.searches += row.counts.searches;
     if (row.gain_set.size() > best.gain_set.size()) {
       best = {folded, row.best_j, std::move(row.gain_set)};
     }
     ++folded;
   }
   if (stats != nullptr) {
-    stats->match_calls += match_calls;
+    stats->match_calls += counts.calls;
+    stats->match_searches += counts.searches;
     stats->swap_rows += static_cast<long>(folded);
     stats->swap_rows_discarded += std::count_if(
         rows.begin() + static_cast<ptrdiff_t>(folded), rows.end(),

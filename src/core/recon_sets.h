@@ -36,6 +36,10 @@ struct ReconSetOptions {
 /// counts them as the serial loop would.
 struct ReconSetStats {
   long match_calls = 0;  // MATCH invocations
+  /// Matcher searches run: MATCH calls the arithmetic prune or the swap
+  /// pass's monotonicity refutation did not answer, plus the swap pass's
+  /// uncounted per-row tests that find which chunks can fit at all.
+  long match_searches = 0;
   long swaps = 0;        // accepted swap optimizations
   long sweep_adds = 0;   // chunks added by the post-swap maximality sweep
   long swap_rows = 0;    // swap-pass rows folded (the serial loop's rows)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "core/repair_plan.h"
 #include "ec/lrc_code.h"
@@ -34,6 +35,16 @@ struct Param {
   core::Scenario scenario;
   const char* strategy;
 };
+
+const char* scenario_name(core::Scenario scenario) {
+  return scenario == core::Scenario::kScattered ? "scattered" : "hotstandby";
+}
+
+// Without it gtest prints a Param's raw bytes, pointer included, into
+// each test's listed name, which then differs from build to build.
+void PrintTo(const Param& p, std::ostream* os) {
+  *os << scenario_name(p.scenario) << "/" << p.strategy;
+}
 
 class TestbedExecutionTest : public ::testing::TestWithParam<Param> {};
 
@@ -72,9 +83,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{core::Scenario::kHotStandby, "reconstruction"},
                       Param{core::Scenario::kHotStandby, "migration"}),
     [](const auto& info) {
-      return std::string(info.param.scenario == core::Scenario::kScattered
-                             ? "scattered_"
-                             : "hotstandby_") +
+      return std::string(scenario_name(info.param.scenario)) + "_" +
              info.param.strategy;
     });
 

@@ -1,11 +1,14 @@
 // Bipartite matching: Hopcroft–Karp and the incremental matcher against
 // the exhaustive oracle on random graphs; rollback semantics; the
-// feasibility matcher against both on random group streams.
+// feasibility matcher against both on random group streams, and its
+// rejections holding on every superset of the committed set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "matching/brute_force.h"
 #include "matching/feasibility_matcher.h"
@@ -308,6 +311,58 @@ TEST(FeasibilityMatcher, AgreesWithIncrementalMatcherAndHopcroftKarp) {
   EXPECT_GT(rejected_after_partial, 100);
   EXPECT_GT(resets, 50);
   EXPECT_GT(copies, 50);
+}
+
+TEST(FeasibilityMatcher, RefutedGroupStaysRefutedOnSupersets) {
+  // Hall's condition is monotone: a group rejected on a committed set S
+  // is rejected on every superset of S. Algorithm 1's swap rows answer
+  // probes by this lemma without a search (src/core/recon_sets.cpp), so
+  // check it on the matcher itself: random group streams grow S, and
+  // after each accepted group every group rejected earlier in the trial
+  // is offered again, on a copy of S as a swap row's probe matcher is,
+  // and must still be rejected.
+  constexpr int kLeft = 20;
+  constexpr int kMaxDemand = 6;
+  std::mt19937 rng(2718);
+  int rejected = 0, reoffers = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    // deque: the matcher holds adjacency by pointer.
+    std::deque<std::vector<int>> adjacency;
+    std::vector<std::pair<const std::vector<int>*, int>> refuted;
+    FeasibilityMatcher committed(kLeft);
+    const double density =
+        0.15 + 0.35 * static_cast<double>(rng() % 100) / 100.0;
+    for (int step = 0; step < 40; ++step) {
+      std::vector<int> adj;
+      for (int l = 0; l < kLeft; ++l) {
+        if (static_cast<double>(rng() % 1000) < density * 1000) {
+          adj.push_back(l);
+        }
+      }
+      std::shuffle(adj.begin(), adj.end(), rng);
+      const int demand = 1 + static_cast<int>(rng() % kMaxDemand);
+      adjacency.push_back(std::move(adj));
+      if (!committed.try_add_group(adjacency.back(), demand)) {
+        refuted.emplace_back(&adjacency.back(), demand);
+        ++rejected;
+        continue;
+      }
+      // S grew: every group refuted on a subset of it stays refuted.
+      FeasibilityMatcher probe(kLeft);
+      for (size_t g = 0; g < refuted.size(); ++g) {
+        SCOPED_TRACE(::testing::Message() << "trial=" << trial
+                                          << " step=" << step << " g=" << g);
+        probe = committed;
+        EXPECT_FALSE(probe.try_add_group(*refuted[g].first,
+                                         refuted[g].second));
+        EXPECT_EQ(probe.right_count(), committed.right_count());
+        ++reoffers;
+      }
+    }
+  }
+  // The streams really grew sets past refuted groups.
+  EXPECT_GT(rejected, 500);
+  EXPECT_GT(reoffers, 1000);
 }
 
 }  // namespace
