@@ -1,7 +1,13 @@
 // GF(256) kernel throughput: GB/s for every dispatchable variant
 // (scalar / ssse3 / avx2 / gfni) across the region ops, plus the
 // headline fused-dot comparison — one dot_region_xor over k sources vs
-// the per-source mul_region_xor loop it replaced in the decode path.
+// the per-source mul_region_xor loop it replaced in the decode path —
+// and CRC-32C GB/s, portable slicing-by-8 against the SSE4.2 path that
+// ChunkStore checksums every written chunk with.
+//
+// `--smoke` checks results only, with no timing: every supported GF
+// kernel against the scalar one on each region op, and crc32c()
+// against crc32c_portable(). It prints PASS, or FAIL and exits 1.
 //
 // Bytes accounting matches bench_algorithms: single-source ops count
 // `len` per call; the k-source dot counts `k * len` (the bytes the
@@ -10,11 +16,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "gf/gf256.h"
+#include "util/crc32c.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -71,10 +79,72 @@ struct Workspace {
   }
 };
 
+/// Region-op results of the pinned kernel on fixed inputs: every op
+/// writes its own output region, so one comparison covers them all.
+std::vector<uint8_t> region_results(const Workspace& ws, size_t len) {
+  std::vector<uint8_t> out;
+  std::vector<uint8_t> dst = ws.dst;
+  gf::xor_region(dst.data(), ws.srcs[0].data(), len);
+  out.insert(out.end(), dst.begin(), dst.end());
+  gf::mul_region(dst.data(), ws.srcs[1].data(), ws.coeffs[1], len);
+  out.insert(out.end(), dst.begin(), dst.end());
+  dst = ws.dst;
+  gf::mul_region_xor(dst.data(), ws.srcs[2].data(), ws.coeffs[2], len);
+  out.insert(out.end(), dst.begin(), dst.end());
+  dst = ws.dst;
+  gf::dot_region_xor(dst.data(), ws.ptrs.data(), ws.coeffs.data(),
+                     kDotSources, len);
+  out.insert(out.end(), dst.begin(), dst.end());
+  return out;
+}
+
+int run_smoke() {
+  bool ok = true;
+  Rng rng(7);
+  // Odd lengths exercise every kernel's vector body and scalar tail.
+  for (size_t len : {size_t{1}, size_t{31}, size_t{4 * kKiB + 13},
+                     size_t{64 * kKiB + 7}}) {
+    const Workspace ws(rng, len);
+    std::vector<uint8_t> reference;
+    {
+      gf::ScopedKernel pin(gf::Kernel::kScalar);
+      reference = region_results(ws, len);
+    }
+    for (gf::Kernel k : {gf::Kernel::kSsse3, gf::Kernel::kAvx2,
+                         gf::Kernel::kGfni}) {
+      if (!gf::kernel_supported(k)) continue;
+      gf::ScopedKernel pin(k);
+      const bool match = region_results(ws, len) == reference;
+      std::printf("gf %-6s len=%-6zu %s\n", gf::kernel_name(k), len,
+                  match ? "matches scalar" : "MISMATCH");
+      ok = ok && match;
+    }
+  }
+  std::vector<uint8_t> bytes = random_bytes(rng, 1 * kMiB + 16);
+  int crc_mismatches = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto start = static_cast<size_t>(rng.uniform(0, 15));
+    const auto len = static_cast<size_t>(
+        rng.uniform(0, trial % 100 == 0 ? 1 * kMiB : 4100));
+    const auto seed = static_cast<uint32_t>(rng.uniform(0, 0xffffffffLL));
+    const std::span<const uint8_t> data(bytes.data() + start, len);
+    if (crc32c(data, seed) != crc32c_portable(data, seed)) ++crc_mismatches;
+  }
+  std::printf("crc32c %s vs portable: %d mismatches in 2000 buffers\n",
+              crc32c_hardware() ? "sse4.2" : "(no hardware path)",
+              crc_mismatches);
+  ok = ok && crc_mismatches == 0;
+  std::printf("bench_gf_kernels --smoke: %s\n", ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   set_log_level(LogLevel::kWarn);
+  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
+    return run_smoke();
+  }
   std::vector<gf::Kernel> kernels;
   for (gf::Kernel k : {gf::Kernel::kScalar, gf::Kernel::kSsse3,
                        gf::Kernel::kAvx2, gf::Kernel::kGfni}) {
@@ -124,6 +194,27 @@ int main() {
     });
   }
   t.print();
+
+  // CRC-32C: the portable slicing-by-8 code against the hardware path
+  // crc32c() dispatches to (the SSE4.2 `crc32` instruction).
+  std::printf("\n=== CRC-32C throughput (GB/s) ===\n");
+  Table crc_table({"size", "portable", "hardware"});
+  for (size_t len : sizes) {
+    const std::vector<uint8_t> data = random_bytes(rng, len);
+    volatile uint32_t sink = 0;  // keeps every checksum call live
+    const double portable =
+        measure_gbps(len, [&] { sink = crc32c_portable(data, sink); });
+    const std::string hardware =
+        crc32c_hardware()
+            ? Table::fmt(measure_gbps(len, [&] { sink = crc32c(data, sink); }),
+                         2)
+            : "n/a";
+    const std::string size_label =
+        len >= kMiB ? std::to_string(len / kMiB) + " MiB"
+                    : std::to_string(len / kKiB) + " KiB";
+    crc_table.add_row({size_label, Table::fmt(portable, 2), hardware});
+  }
+  crc_table.print();
 
   // Headline: the decode-path rewrite. One fused pass over k=6 sources
   // vs k separate mul_region_xor passes (what RsCode/LrcCode/the agent

@@ -356,25 +356,30 @@ void Agent::stream_chunk(uint64_t task_id, uint32_t attempt, ChunkRef chunk,
   FASTPR_CHECK(packet_bytes >= 1);
   FASTPR_TRACE_SPAN("agent.stream_chunk", "agent",
                     static_cast<int64_t>(task_id), "task");
-  const auto content = store_.read_unthrottled(chunk);
-  if (!content.has_value()) {
+  // A read error before the first packet and one on a later slice
+  // (a helper disk failing mid-stream) take the same report path.
+  const auto report_read_error = [&] {
     report_failure(task_id, attempt,
                    "read error on node " + std::to_string(id_) +
                        " for stripe " + std::to_string(chunk.stripe));
+  };
+  const auto chunk_bytes = store_.chunk_size(chunk);
+  if (!chunk_bytes.has_value()) {
+    report_read_error();
     return;
   }
-  const uint64_t chunk_bytes = content->size();
   const uint32_t total_packets = static_cast<uint32_t>(
-      (chunk_bytes + packet_bytes - 1) / packet_bytes);
+      (*chunk_bytes + packet_bytes - 1) / packet_bytes);
 
   // Paper §V multi-threading: this reader task paces the disk and feeds
   // the persistent sender workers; the window keeps at most
   // pipeline_depth of this transfer's packets between disk and wire.
   const auto window = std::make_shared<SendWindow>();
 
-  for (uint32_t p = 0; p < total_packets; ++p) {
-    const uint64_t offset = static_cast<uint64_t>(p) * packet_bytes;
-    const uint64_t len = std::min(packet_bytes, chunk_bytes - offset);
+  uint32_t sent = 0;
+  for (; sent < total_packets; ++sent) {
+    const uint64_t offset = static_cast<uint64_t>(sent) * packet_bytes;
+    const uint64_t len = std::min(packet_bytes, *chunk_bytes - offset);
     store_.charge_io(static_cast<int64_t>(len));  // disk read time
 
     Message packet;
@@ -386,20 +391,25 @@ void Agent::stream_chunk(uint64_t task_id, uint32_t attempt, ChunkRef chunk,
     packet.chunk = chunk;
     packet.mode = mode;
     packet.coefficient = coefficient;
-    packet.packet_index = p;
+    packet.packet_index = sent;
     packet.total_packets = total_packets;
-    packet.chunk_bytes = chunk_bytes;
+    packet.chunk_bytes = *chunk_bytes;
     packet.packet_bytes = packet_bytes;
     packet.trace = telemetry::current_trace_context();
-    // Pool-recycled payload: after the destination folds the packet in
-    // and drops it, the buffer comes back for a later packet.
-    packet.payload.assign(content->data() + offset, len);
+    // The slice is read straight into a pool-recycled payload: after the
+    // destination folds the packet in and drops it, the buffer comes
+    // back for a later packet.
+    packet.payload.resize_uninitialized(len);
+    if (!store_.read_range(chunk, offset, packet.payload.span())) {
+      report_read_error();
+      break;
+    }
 
     enqueue_send(std::move(packet), window);
   }
   telemetry::MetricsRegistry::global()
       .counter("agent.data_packets_tx")
-      .add(total_packets);
+      .add(sent);
 }
 
 void Agent::handle_data_packet(Message&& msg) {
@@ -733,21 +743,26 @@ void Agent::chain_stream_head(uint64_t task_id, uint32_t attempt,
   FASTPR_CHECK(packet_bytes >= 1);
   FASTPR_TRACE_SPAN("agent.chain_stream_head", "agent",
                     static_cast<int64_t>(task_id), "task");
-  const auto content = store_.read_unthrottled(own);
-  if (!content.has_value()) {
+  // A read error before the first packet and one on a later slice
+  // (a helper disk failing mid-stream) take the same report path.
+  const auto report_read_error = [&] {
     report_failure(task_id, attempt,
                    "read error on node " + std::to_string(id_) +
                        " for stripe " + std::to_string(own.stripe));
+  };
+  const auto chunk_bytes = store_.chunk_size(own);
+  if (!chunk_bytes.has_value()) {
+    report_read_error();
     return;
   }
-  const uint64_t chunk_bytes = content->size();
   const uint32_t total_packets = static_cast<uint32_t>(
-      (chunk_bytes + packet_bytes - 1) / packet_bytes);
+      (*chunk_bytes + packet_bytes - 1) / packet_bytes);
   const auto window = std::make_shared<SendWindow>();
 
-  for (uint32_t p = 0; p < total_packets; ++p) {
-    const uint64_t offset = static_cast<uint64_t>(p) * packet_bytes;
-    const uint64_t len = std::min(packet_bytes, chunk_bytes - offset);
+  uint32_t sent = 0;
+  for (; sent < total_packets; ++sent) {
+    const uint64_t offset = static_cast<uint64_t>(sent) * packet_bytes;
+    const uint64_t len = std::min(packet_bytes, *chunk_bytes - offset);
     store_.charge_io(static_cast<int64_t>(len));  // disk read time
 
     Message packet;
@@ -767,12 +782,16 @@ void Agent::chain_stream_head(uint64_t task_id, uint32_t attempt,
     packet.task_id = task_id;
     packet.attempt = attempt;
     packet.chunk = chunk;
-    packet.packet_index = p;
+    packet.packet_index = sent;
     packet.total_packets = total_packets;
-    packet.chunk_bytes = chunk_bytes;
+    packet.chunk_bytes = *chunk_bytes;
     packet.packet_bytes = packet_bytes;
     packet.trace = telemetry::current_trace_context();
-    packet.payload.assign(content->data() + offset, len);
+    packet.payload.resize_uninitialized(len);
+    if (!store_.read_range(own, offset, packet.payload.span())) {
+      report_read_error();
+      break;
+    }
     // Seed partial sum: scale by our own decode coefficient in place.
     gf::mul_region(packet.payload.data(), packet.payload.data(),
                    coefficient, len);
@@ -781,7 +800,7 @@ void Agent::chain_stream_head(uint64_t task_id, uint32_t attempt,
   }
   telemetry::MetricsRegistry::global()
       .counter("agent.chain_packets_tx")
-      .add(total_packets);
+      .add(sent);
 }
 
 }  // namespace fastpr::agent

@@ -1,5 +1,6 @@
 #include "agent/chunk_store.h"
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -9,6 +10,15 @@
 #include "util/crc32c.h"
 
 namespace fastpr::agent {
+
+std::optional<std::vector<uint8_t>> ChunkOracle::generate(
+    cluster::ChunkRef chunk) const {
+  const auto bytes = size(chunk);
+  if (!bytes.has_value()) return std::nullopt;
+  std::vector<uint8_t> data(*bytes);
+  fill(chunk, 0, data);
+  return data;
+}
 
 ChunkStore::ChunkStore(const Options& options, const ChunkOracle* oracle)
     : options_(options),
@@ -33,37 +43,71 @@ void ChunkStore::write(cluster::ChunkRef chunk, std::vector<uint8_t> data) {
 
 std::optional<std::vector<uint8_t>> ChunkStore::read_unthrottled(
     cluster::ChunkRef chunk) const {
-  std::optional<std::vector<uint8_t>> materialized;
+  const auto size = chunk_size(chunk);
+  if (!size.has_value()) return std::nullopt;
+  std::vector<uint8_t> data(*size);
+  if (!read_range(chunk, 0, data)) return std::nullopt;
+  return data;
+}
+
+std::optional<uint64_t> ChunkStore::chunk_size(cluster::ChunkRef chunk) const {
+  bool on_disk = false;
   {
     MutexLock lock(mutex_);
     if (read_errors_.count(chunk) != 0) return std::nullopt;
     const auto it = chunks_.find(chunk);
-    if (it != chunks_.end()) materialized = it->second;
+    if (it != chunks_.end()) return it->second.size();
+    on_disk = on_disk_.count(chunk) != 0;
   }
-  if (materialized.has_value()) return materialized;
-
-  // File-backed?
-  if (options_.directory.has_value()) {
-    bool present;
-    {
-      MutexLock lock(mutex_);
-      present = on_disk_.count(chunk) != 0;
-    }
-    if (present) {
-      std::ifstream in(path_for(chunk), std::ios::binary | std::ios::ate);
-      FASTPR_CHECK_MSG(in.good(), "chunk file disappeared");
-      const auto size = static_cast<size_t>(in.tellg());
-      in.seekg(0);
-      std::vector<uint8_t> data(size);
-      in.read(reinterpret_cast<char*>(data.data()),
-              static_cast<std::streamsize>(size));
-      FASTPR_CHECK(in.good());
-      return data;
-    }
+  if (on_disk) {
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path_for(chunk), ec);
+    FASTPR_CHECK_MSG(!ec, "chunk file disappeared");
+    return size;
   }
-  // Synthesized content.
-  if (oracle_ != nullptr) return oracle_->generate(chunk);
+  if (oracle_ != nullptr) return oracle_->size(chunk);
   return std::nullopt;
+}
+
+bool ChunkStore::read_range(cluster::ChunkRef chunk, uint64_t offset,
+                            std::span<uint8_t> out) const {
+  const auto check_range = [&](uint64_t chunk_bytes) {
+    FASTPR_CHECK_MSG(offset <= chunk_bytes &&
+                         out.size() <= chunk_bytes - offset,
+                     "slice [" << offset << ", +" << out.size()
+                               << ") outside a " << chunk_bytes
+                               << "-byte chunk");
+  };
+  bool on_disk = false;
+  {
+    MutexLock lock(mutex_);
+    if (read_errors_.count(chunk) != 0) return false;
+    const auto it = chunks_.find(chunk);
+    if (it != chunks_.end()) {
+      check_range(it->second.size());
+      if (!out.empty()) {
+        std::memcpy(out.data(), it->second.data() + offset, out.size());
+      }
+      return true;
+    }
+    on_disk = on_disk_.count(chunk) != 0;
+  }
+  if (on_disk) {
+    std::ifstream in(path_for(chunk), std::ios::binary | std::ios::ate);
+    FASTPR_CHECK_MSG(in.good(), "chunk file disappeared");
+    check_range(static_cast<uint64_t>(in.tellg()));
+    in.seekg(static_cast<std::streamoff>(offset));
+    in.read(reinterpret_cast<char*>(out.data()),
+            static_cast<std::streamsize>(out.size()));
+    FASTPR_CHECK(in.good());
+    return true;
+  }
+  if (oracle_ == nullptr) return false;
+  const auto size = oracle_->size(chunk);
+  if (!size.has_value()) return false;
+  check_range(*size);
+  oracle_->fill(chunk, offset, out);
+  return true;
 }
 
 std::optional<std::vector<uint8_t>> ChunkStore::read(
@@ -117,10 +161,7 @@ bool ChunkStore::contains(cluster::ChunkRef chunk) const {
     MutexLock lock(mutex_);
     if (chunks_.count(chunk) != 0 || on_disk_.count(chunk) != 0) return true;
   }
-  if (oracle_ != nullptr) {
-    return oracle_->generate(chunk).has_value();
-  }
-  return false;
+  return oracle_ != nullptr && oracle_->size(chunk).has_value();
 }
 
 void ChunkStore::erase(cluster::ChunkRef chunk) {

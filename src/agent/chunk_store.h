@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -25,12 +26,21 @@
 namespace fastpr::agent {
 
 /// Deterministic content provider for chunks that were never written.
+/// Implementations synthesize any byte range directly into the caller's
+/// buffer, so a reader streams a chunk packet by packet without ever
+/// holding all of it.
 class ChunkOracle {
  public:
   virtual ~ChunkOracle() = default;
-  /// Contents of `chunk`, or nullopt if the oracle does not know it.
-  virtual std::optional<std::vector<uint8_t>> generate(
-      cluster::ChunkRef chunk) const = 0;
+  /// Size of `chunk` in bytes, or nullopt if the oracle does not know it.
+  virtual std::optional<uint64_t> size(cluster::ChunkRef chunk) const = 0;
+  /// Writes bytes [offset, offset + out.size()) of `chunk` into `out`.
+  /// The chunk must be known and the range must lie within it.
+  virtual void fill(cluster::ChunkRef chunk, uint64_t offset,
+                    std::span<uint8_t> out) const = 0;
+  /// Whole contents of `chunk` (one fill() of size() bytes), or nullopt
+  /// if the oracle does not know it.
+  std::optional<std::vector<uint8_t>> generate(cluster::ChunkRef chunk) const;
 };
 
 class ChunkStore {
@@ -51,13 +61,29 @@ class ChunkStore {
   std::optional<std::vector<uint8_t>> read(cluster::ChunkRef chunk) const;
 
   /// Charges the disk bucket without moving data. Pipelined transfers
-  /// read a chunk once, then pace per-packet disk time through this.
+  /// read each packet's slice with read_range() and pace its disk time
+  /// through this.
   void charge_io(int64_t bytes) const;
 
-  /// Content fetch with NO disk charge — callers that pipeline pace the
-  /// disk themselves via charge_io (per packet).
+  /// Content fetch with NO disk charge: chunk_size() plus one
+  /// read_range() of the whole chunk.
   std::optional<std::vector<uint8_t>> read_unthrottled(
       cluster::ChunkRef chunk) const;
+
+  /// Size of `chunk` in bytes with NO disk charge; nullopt if absent
+  /// everywhere or an injected read error fires. A packet reader opens
+  /// a chunk with this, then reads it slice by slice with read_range().
+  std::optional<uint64_t> chunk_size(cluster::ChunkRef chunk) const;
+
+  /// Copies bytes [offset, offset + out.size()) of `chunk` into `out`
+  /// with NO disk charge — callers that pipeline pace the disk via
+  /// charge_io. Materialized chunks are copied under the store lock,
+  /// file-backed ones read only the slice, oracle ones synthesize it.
+  /// False if the chunk is absent or an injected read error fires (also
+  /// one injected after an earlier slice was read). The range must lie
+  /// within the chunk (FASTPR_CHECK).
+  bool read_range(cluster::ChunkRef chunk, uint64_t offset,
+                  std::span<uint8_t> out) const;
 
   /// Materialize with NO disk charge (the destination pipeline already
   /// charged each packet's write as it completed).

@@ -1,6 +1,7 @@
 #include "agent/testbed.h"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -72,17 +73,25 @@ uint8_t SyntheticOracle::chunk_constant(cluster::StripeId stripe,
   return static_cast<uint8_t>(splitmix64(state));
 }
 
-std::optional<std::vector<uint8_t>> SyntheticOracle::generate(
-    ChunkRef chunk) const {
+std::optional<uint64_t> SyntheticOracle::size(ChunkRef chunk) const {
   if (chunk.stripe < 0 || chunk.stripe >= num_stripes_) return std::nullopt;
   if (chunk.index < 0 || chunk.index >= code_.n()) return std::nullopt;
+  return chunk_bytes_;
+}
+
+void SyntheticOracle::fill(ChunkRef chunk, uint64_t offset,
+                           std::span<uint8_t> out) const {
+  FASTPR_CHECK(size(chunk).has_value());
+  FASTPR_CHECK(offset <= chunk_bytes_ && out.size() <= chunk_bytes_ - offset);
+  if (out.empty()) return;
+  const uint8_t* pattern = pattern_.data() + offset;
 
   if (chunk.index < code_.k()) {
     // Data chunk: P ⊕ c(s, j).
-    std::vector<uint8_t> data = pattern_;
-    xor_constant(data.data(), chunk_constant(chunk.stripe, chunk.index),
-                 data.size());
-    return data;
+    std::memcpy(out.data(), pattern, out.size());
+    xor_constant(out.data(), chunk_constant(chunk.stripe, chunk.index),
+                 out.size());
+    return;
   }
 
   // Parity: (⊕_j w_j)·P ⊕ K by GF distributivity over XOR.
@@ -95,11 +104,8 @@ std::optional<std::vector<uint8_t>> SyntheticOracle::generate(
     constant = static_cast<uint8_t>(
         constant ^ gf::mul(w, chunk_constant(chunk.stripe, j)));
   }
-  std::vector<uint8_t> parity(chunk_bytes_);
-  gf::mul_region(parity.data(), pattern_.data(), coeff_sum,
-                 parity.size());
-  xor_constant(parity.data(), constant, parity.size());
-  return parity;
+  gf::mul_region(out.data(), pattern, coeff_sum, out.size());
+  xor_constant(out.data(), constant, out.size());
 }
 
 Testbed::Testbed(const TestbedOptions& options, const ec::ErasureCode& code)

@@ -52,8 +52,11 @@ class SyntheticOracle final : public ChunkOracle {
   SyntheticOracle(const ec::ErasureCode& code, uint64_t chunk_bytes,
                   int num_stripes, uint64_t seed);
 
-  std::optional<std::vector<uint8_t>> generate(
-      cluster::ChunkRef chunk) const override;
+  std::optional<uint64_t> size(cluster::ChunkRef chunk) const override;
+  /// Synthesizes only the requested range: a copy (data) or one GF
+  /// multiply (parity) of the pattern slice, then one XOR pass.
+  void fill(cluster::ChunkRef chunk, uint64_t offset,
+            std::span<uint8_t> out) const override;
 
  private:
   /// Per-chunk constant mixed into the pattern.

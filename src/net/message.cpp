@@ -7,7 +7,7 @@ namespace fastpr::net {
 namespace {
 
 /// Little-endian serializer cursor over a pre-sized buffer (callers size
-/// it with encoded_size(), so no bounds tracking is needed here).
+/// it with header_size(), so no bounds tracking is needed here).
 struct Writer {
   uint8_t* p;
 
@@ -33,13 +33,6 @@ class Reader {
     if (pos_ + sizeof(T) > bytes_.size()) return false;
     std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
-    return true;
-  }
-
-  bool read_bytes(PooledBuffer& out, size_t len) {
-    if (pos_ + len > bytes_.size()) return false;
-    out.assign(bytes_.data() + pos_, len);
-    pos_ += len;
     return true;
   }
 
@@ -82,24 +75,18 @@ bool valid_message_type(uint8_t raw) {
   return false;
 }
 
-constexpr size_t kFixedHeaderBytes =
-    1 +                 // type
-    4 + 4 +             // from, to
-    8 +                 // task_id
-    4 +                 // attempt
-    8 + 8 + 4 + 8 +     // trace: trace_id, parent_span_id, origin_node,
-                        //        origin_ts_us
-    4 + 4 +             // chunk.stripe, chunk.index
-    4 +                 // dst
-    1 + 1 +             // mode, coefficient
-    4 + 4 +             // packet_index, total_packets
-    4 +                 // hop
-    8 + 8 +             // chunk_bytes, packet_bytes
-    4 + 4 + 4;          // sources count, error length, payload length
+constexpr size_t kSourceBytes = 4 + 4 + 4 + 1;  // node, stripe, index, coeff
 
-/// Writes exactly msg.encoded_size() bytes at `out`.
-void write_message(uint8_t* out, const Message& msg) {
-  Writer w{out};
+size_t header_size(const Message& msg) {
+  return kFixedHeaderBytes + msg.sources.size() * kSourceBytes +
+         msg.error.size();
+}
+
+}  // namespace
+
+std::vector<uint8_t> serialize_header(const Message& msg) {
+  std::vector<uint8_t> out(header_size(msg));
+  Writer w{out.data()};
   w.put<uint8_t>(static_cast<uint8_t>(msg.type));
   w.put<int32_t>(msg.from);
   w.put<int32_t>(msg.to);
@@ -129,14 +116,11 @@ void write_message(uint8_t* out, const Message& msg) {
     w.put<uint8_t>(s.coefficient);
   }
   w.put_bytes(msg.error.data(), msg.error.size());
-  w.put_bytes(msg.payload.data(), msg.payload.size());
+  return out;
 }
 
-}  // namespace
-
 size_t Message::encoded_size() const {
-  return kFixedHeaderBytes + sources.size() * (4 + 4 + 4 + 1) +
-         error.size() + payload.size();
+  return header_size(*this) + payload.size();
 }
 
 Message Message::clone() const {
@@ -163,19 +147,36 @@ Message Message::clone() const {
 }
 
 std::vector<uint8_t> serialize(const Message& msg) {
-  std::vector<uint8_t> out(msg.encoded_size());
-  write_message(out.data(), msg);
+  std::vector<uint8_t> out = serialize_header(msg);
+  out.insert(out.end(), msg.payload.begin(), msg.payload.end());
   return out;
 }
 
-PooledBuffer serialize_pooled(const Message& msg) {
-  PooledBuffer out = BufferPool::global()->acquire(msg.encoded_size());
-  write_message(out.data(), msg);
-  return out;
+std::optional<FrameLayout> frame_layout(std::span<const uint8_t> fixed,
+                                        size_t frame_len) {
+  if (fixed.size() < kFixedHeaderBytes) return std::nullopt;
+  // The three section lengths close the fixed header.
+  uint32_t num_sources = 0, error_len = 0, payload_len = 0;
+  const uint8_t* lengths = fixed.data() + kFixedHeaderBytes - 12;
+  std::memcpy(&num_sources, lengths, 4);
+  std::memcpy(&error_len, lengths + 4, 4);
+  std::memcpy(&payload_len, lengths + 8, 4);
+  // 64-bit sum: corrupted counts must neither wrap nor trigger huge
+  // resizes; they simply fail to match the frame length.
+  const uint64_t header = kFixedHeaderBytes +
+                          static_cast<uint64_t>(num_sources) * kSourceBytes +
+                          error_len;
+  if (header + payload_len != frame_len) return std::nullopt;
+  return FrameLayout{static_cast<size_t>(header), payload_len};
 }
 
-std::optional<Message> deserialize(std::span<const uint8_t> bytes) {
-  Reader reader(bytes);
+std::optional<Message> parse_header(std::span<const uint8_t> header,
+                                    size_t frame_len) {
+  const auto layout = frame_layout(header, frame_len);
+  if (!layout.has_value() || layout->header_bytes != header.size()) {
+    return std::nullopt;
+  }
+  Reader reader(header);
   Message msg;
   uint8_t type = 0, mode = 0;
   uint32_t num_sources = 0, error_len = 0, payload_len = 0;
@@ -200,12 +201,6 @@ std::optional<Message> deserialize(std::span<const uint8_t> bytes) {
   if (mode > 1) return std::nullopt;
   msg.mode = static_cast<TransferMode>(mode);
 
-  // Bound the declared sizes by the actual frame length before any
-  // allocation — corrupted counts must not trigger huge resizes.
-  const uint64_t declared = static_cast<uint64_t>(num_sources) * 13 +
-                            error_len + payload_len;
-  if (declared > bytes.size()) return std::nullopt;
-
   msg.sources.resize(num_sources);
   for (auto& s : msg.sources) {
     if (!reader.read(s.node) || !reader.read(s.chunk.stripe) ||
@@ -214,8 +209,17 @@ std::optional<Message> deserialize(std::span<const uint8_t> bytes) {
     }
   }
   if (!reader.read_string(msg.error, error_len)) return std::nullopt;
-  if (!reader.read_bytes(msg.payload, payload_len)) return std::nullopt;
   if (!reader.exhausted()) return std::nullopt;
+  return msg;
+}
+
+std::optional<Message> deserialize(std::span<const uint8_t> bytes) {
+  const auto layout = frame_layout(bytes, bytes.size());
+  if (!layout.has_value()) return std::nullopt;
+  auto msg = parse_header(bytes.first(layout->header_bytes), bytes.size());
+  if (!msg.has_value()) return std::nullopt;
+  msg->payload.assign(bytes.data() + layout->header_bytes,
+                      layout->payload_bytes);
   return msg;
 }
 

@@ -116,16 +116,58 @@ struct Message {
   Message clone() const;
 };
 
-/// Length-prefixed binary encoding (little-endian).
+/// Bytes of a frame's fixed header. The variable sections follow it in
+/// the order its last three fields count them: 13 bytes per source, the
+/// error string, then the payload.
+constexpr size_t kFixedHeaderBytes =
+    1 +                 // type
+    4 + 4 +             // from, to
+    8 +                 // task_id
+    4 +                 // attempt
+    8 + 8 + 4 + 8 +     // trace: trace_id, parent_span_id, origin_node,
+                        //        origin_ts_us
+    4 + 4 +             // chunk.stripe, chunk.index
+    4 +                 // dst
+    1 + 1 +             // mode, coefficient
+    4 + 4 +             // packet_index, total_packets
+    4 +                 // hop
+    8 + 8 +             // chunk_bytes, packet_bytes
+    4 + 4 + 4;          // sources count, error length, payload length
+
+/// Binary encoding (little-endian), without the transport's length
+/// prefix: the header (fixed part, sources, error) then the payload.
 std::vector<uint8_t> serialize(const Message& msg);
 
-/// serialize() into a pool-recycled frame buffer — the TCP send path,
-/// which would otherwise allocate one frame per packet.
-PooledBuffer serialize_pooled(const Message& msg);
+/// The header part of serialize(msg) alone — every byte before the
+/// payload, so serialize_header(msg) followed by msg.payload equals
+/// serialize(msg). The TCP send path writes it and the payload with
+/// one gather write instead of copying the payload into a frame.
+std::vector<uint8_t> serialize_header(const Message& msg);
+
+/// Section lengths a frame declares in its fixed header.
+struct FrameLayout {
+  size_t header_bytes = 0;   // fixed header + sources + error
+  size_t payload_bytes = 0;
+};
+
+/// Reads the section lengths from the first kFixedHeaderBytes of
+/// `fixed` and checks that they add up to `frame_len` (the whole frame,
+/// without the length prefix). nullopt if `fixed` is too short or the
+/// lengths do not add up — checked before anything is allocated.
+std::optional<FrameLayout> frame_layout(std::span<const uint8_t> fixed,
+                                        size_t frame_len);
+
+/// Parses a frame's header: `header` holds exactly its header bytes
+/// (frame_layout().header_bytes of them) and `frame_len` is the whole
+/// frame's length. Returns the message with an empty payload, or
+/// nullopt on malformed input (bad type or mode, lengths that do not
+/// add up to frame_len). The caller fills the payload.
+std::optional<Message> parse_header(std::span<const uint8_t> header,
+                                    size_t frame_len);
 
 /// Parses one message from `bytes` (the full frame, without the length
-/// prefix). The payload lands in a pool-recycled buffer. Returns nullopt
-/// on malformed input.
+/// prefix): parse_header() plus a copy of the payload into a
+/// pool-recycled buffer. Returns nullopt on malformed input.
 std::optional<Message> deserialize(std::span<const uint8_t> bytes);
 
 }  // namespace fastpr::net

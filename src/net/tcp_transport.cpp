@@ -4,9 +4,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -25,12 +28,22 @@ namespace {
 /// it turns into a multi-gigabyte allocation.
 constexpr uint32_t kMaxFrameBytes = 256 * kMiB;
 
-bool write_all(int fd, const uint8_t* data, size_t len) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd, data + done, len - done);
+/// Writes every byte of `iov[0..count)` with gather writes, resuming
+/// after partial writes. Clobbers the iovec array.
+bool writev_all(int fd, iovec* iov, int count) {
+  while (count > 0) {
+    const ssize_t n = ::writev(fd, iov, count);
     if (n <= 0) return false;
-    done += static_cast<size_t>(n);
+    auto done = static_cast<size_t>(n);
+    while (count > 0 && done >= iov->iov_len) {
+      done -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
   return true;
 }
@@ -41,6 +54,18 @@ bool read_all(int fd, uint8_t* data, size_t len) {
     const ssize_t n = ::read(fd, data + done, len - done);
     if (n <= 0) return false;
     done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+/// Reads and drops `len` bytes: the rest of a rejected frame, so the
+/// stream stays aligned on the next length prefix.
+bool discard(int fd, size_t len) {
+  std::vector<uint8_t> sink(std::min<size_t>(len, 64 * kKiB));
+  while (len > 0) {
+    const size_t n = std::min(len, sink.size());
+    if (!read_all(fd, sink.data(), n)) return false;
+    len -= n;
   }
   return true;
 }
@@ -99,11 +124,11 @@ void TcpTransport::accept_loop(int node) {
 
 void TcpTransport::reader_loop(int node, int fd) {
   auto& ep = *endpoints_[static_cast<size_t>(node)];
-  // Pool-backed frame staging, reused across the connection's lifetime:
-  // one connection parses thousands of packet frames and this avoids a
-  // frame-sized allocation (and zero-fill) per packet. The deserialized
-  // payload is itself copied into a separately pooled buffer.
-  PooledBuffer frame;
+  // Header staging, reused across the connection's lifetime. The payload
+  // is read straight into the message's pooled buffer, so a data packet
+  // crosses user space once, from the socket into the buffer the
+  // destination folds from.
+  std::vector<uint8_t> header;
   static telemetry::Counter& rx_frames =
       telemetry::MetricsRegistry::global().counter("tcp.frames_rx");
   static telemetry::Counter& rx_bytes =
@@ -115,27 +140,48 @@ void TcpTransport::reader_loop(int node, int fd) {
       break;
     }
     if (frame_len > kMaxFrameBytes) break;
-    frame.resize_uninitialized(frame_len);
+    std::optional<Message> msg;
     {
       FASTPR_TRACE_SPAN("tcp.read_frame", "tcp",
                         static_cast<int64_t>(frame_len), "bytes");
-      if (!read_all(fd, frame.data(), frame.size())) break;
+      // Every length the fixed header declares is checked against
+      // frame_len before anything is sized by it. A rejected frame is
+      // read to its end and dropped; the connection carries on.
+      size_t unread = frame_len;
+      header.resize(std::min<size_t>(frame_len, kFixedHeaderBytes));
+      if (!read_all(fd, header.data(), header.size())) break;
+      unread -= header.size();
+      const auto layout = frame_layout(header, frame_len);
+      if (layout.has_value()) {
+        header.resize(layout->header_bytes);
+        if (!read_all(fd, header.data() + kFixedHeaderBytes,
+                      layout->header_bytes - kFixedHeaderBytes)) {
+          break;
+        }
+        unread -= layout->header_bytes - kFixedHeaderBytes;
+        msg = parse_header(header, frame_len);
+      }
+      if (msg.has_value()) {
+        msg->payload.resize_uninitialized(layout->payload_bytes);
+        if (!read_all(fd, msg->payload.data(), msg->payload.size())) break;
+      } else if (!discard(fd, unread)) {
+        break;
+      }
     }
     rx_frames.add();
-    rx_bytes.add(static_cast<int64_t>(frame.size()));
-    auto msg = deserialize(frame.span());
+    rx_bytes.add(static_cast<int64_t>(frame_len));
     if (!msg.has_value()) {
       LOG_WARN("tcp: malformed frame dropped on node " << node);
       continue;
     }
     const bool shaped = options_.shape_control_messages ||
                         is_data_packet(msg->type);
-    if (shaped) ep.rx->acquire(static_cast<int64_t>(frame.size()));
+    if (shaped) ep.rx->acquire(static_cast<int64_t>(frame_len));
     // Delivery timestamp AFTER rx shaping, so the flow monitor sees the
     // link's achieved (shaped) rate.
     if (options_.flow_monitor != nullptr && is_data_packet(msg->type)) {
       options_.flow_monitor->on_rx(msg->from, msg->to,
-                                   static_cast<int64_t>(frame.size()),
+                                   static_cast<int64_t>(frame_len),
                                    telemetry::trace_now_us());
     }
     {
@@ -181,11 +227,14 @@ void TcpTransport::send(Message msg) {
   FASTPR_CHECK(msg.to >= 0 && msg.to < static_cast<int>(endpoints_.size()));
   auto& ep = *endpoints_[static_cast<size_t>(msg.from)];
 
-  const auto frame = serialize_pooled(msg);
+  // Only the header is encoded; the payload goes to the socket from its
+  // own pooled buffer (one gather write below).
+  auto header = serialize_header(msg);
+  const size_t frame_size = header.size() + msg.payload.size();
   const bool shaped = options_.shape_control_messages ||
                       is_data_packet(msg.type);
   if (shaped) {
-    int64_t tx_bytes = static_cast<int64_t>(frame.size());
+    int64_t tx_bytes = static_cast<int64_t>(frame_size);
     if (msg.type == MessageType::kChainPacket &&
         options_.chain_hop_overhead_seconds > 0) {
       // Chain-hop store-and-forward cost, mirroring InprocTransport.
@@ -196,7 +245,7 @@ void TcpTransport::send(Message msg) {
   }
   if (options_.flow_monitor != nullptr && is_data_packet(msg.type)) {
     options_.flow_monitor->on_tx(msg.from, msg.to,
-                                 static_cast<int64_t>(frame.size()),
+                                 static_cast<int64_t>(frame_size),
                                  telemetry::trace_now_us());
   }
 
@@ -205,10 +254,10 @@ void TcpTransport::send(Message msg) {
   static telemetry::Counter& tx_bytes =
       telemetry::MetricsRegistry::global().counter("tcp.bytes_tx");
   tx_frames.add();
-  tx_bytes.add(static_cast<int64_t>(frame.size()));
+  tx_bytes.add(static_cast<int64_t>(frame_size));
 
   FASTPR_TRACE_SPAN("tcp.send_frame", "tcp",
-                    static_cast<int64_t>(frame.size()), "bytes");
+                    static_cast<int64_t>(frame_size), "bytes");
   // Map lookup only under conn_mutex; the blocking connect/write below
   // happens under the per-connection write_mutex so a slow destination
   // cannot head-of-line block frames bound elsewhere.
@@ -225,13 +274,16 @@ void TcpTransport::send(Message msg) {
   if (closed_.load(std::memory_order_acquire)) return;
   const int fd = connect_to(*conn, msg.to);
   if (fd < 0) return;  // shutdown() raced the lazy connect
-  const uint32_t frame_len = static_cast<uint32_t>(frame.size());
+  uint32_t frame_len = static_cast<uint32_t>(frame_size);
+  iovec iov[3] = {
+      {&frame_len, sizeof(frame_len)},
+      {header.data(), header.size()},
+      {msg.payload.data(), msg.payload.size()},
+  };
   // Held across the socket write on purpose: write_mutex is what keeps
   // a frame atomic against concurrent senders to the same destination.
   // fastpr-lint: allow(lock-held-blocking)
-  if (!write_all(fd, reinterpret_cast<const uint8_t*>(&frame_len),
-                 sizeof(frame_len)) ||
-      !write_all(fd, frame.data(), frame.size())) {
+  if (!writev_all(fd, iov, msg.payload.empty() ? 2 : 3)) {
     ::close(fd);
     conn->fd = -1;
     // A write torn by shutdown() closing the socket is orderly; any
@@ -239,6 +291,11 @@ void TcpTransport::send(Message msg) {
     FASTPR_CHECK_MSG(closed_.load(std::memory_order_acquire),
                      "tcp send to node " << msg.to << " failed");
   }
+}
+
+uint16_t TcpTransport::port(cluster::NodeId node) const {
+  FASTPR_CHECK(node >= 0 && node < static_cast<int>(endpoints_.size()));
+  return endpoints_[static_cast<size_t>(node)]->port;
 }
 
 std::optional<Message> TcpTransport::recv(

@@ -49,6 +49,9 @@ class TcpTransport final : public Transport {
       std::optional<std::chrono::milliseconds> timeout) override;
   void shutdown() override;
 
+  /// Loopback port `node` accepts connections on.
+  uint16_t port(cluster::NodeId node) const;
+
  private:
   struct Endpoint {
     int listen_fd = -1;

@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 
 #include "agent/testbed.h"
 #include "ec/rs_code.h"
 #include "util/check.h"
+#include "util/units.h"
 
 namespace fastpr::agent {
 namespace {
@@ -171,6 +173,131 @@ TEST(ChunkStore, ScrubDetectsSilentCorruption) {
 TEST(ChunkStore, CorruptRequiresMaterializedChunk) {
   ChunkStore store(unthrottled());
   EXPECT_THROW(store.corrupt({9, 9}, 0), CheckFailure);
+}
+
+// Slice reads: the agents' reader tasks stream chunks packet by packet
+// through chunk_size() + read_range(), never holding a whole chunk.
+constexpr uint64_t kPacket = 256 * kKiB;
+constexpr uint64_t kSliceChunk = 3 * kPacket + 1000;  // short last packet
+
+std::vector<uint8_t> patterned(size_t n, uint8_t salt) {
+  std::vector<uint8_t> data(n);
+  for (size_t i = 0; i < n; ++i) {
+    data[i] = static_cast<uint8_t>(i * 131 + salt + (i >> 9));
+  }
+  return data;
+}
+
+/// Every packet-sized slice of `chunk`, at every packet boundary, must
+/// equal the matching bytes of `whole`.
+void expect_slices_match(const ChunkStore& store, ChunkRef chunk,
+                         const std::vector<uint8_t>& whole) {
+  const auto size = store.chunk_size(chunk);
+  ASSERT_TRUE(size.has_value());
+  ASSERT_EQ(*size, whole.size());
+  for (uint64_t offset = 0; offset < *size; offset += kPacket) {
+    const uint64_t len = std::min(kPacket, *size - offset);
+    std::vector<uint8_t> slice(len, 0xCC);
+    ASSERT_TRUE(store.read_range(chunk, offset, slice));
+    EXPECT_TRUE(std::equal(slice.begin(), slice.end(),
+                           whole.begin() + static_cast<ptrdiff_t>(offset)))
+        << "chunk (" << chunk.stripe << ", " << chunk.index
+        << ") offset " << offset;
+  }
+}
+
+TEST(ChunkStore, OracleSlicesMatchWholeRead) {
+  const ec::RsCode code(5, 3);
+  const SyntheticOracle oracle(code, kSliceChunk, 4, 11);
+  ChunkStore store(unthrottled(), &oracle);
+  for (const ChunkRef chunk : {ChunkRef{1, 0}, ChunkRef{1, 2},   // data
+                               ChunkRef{1, 3}, ChunkRef{3, 4}}) {  // parity
+    const auto whole = store.read(chunk);
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(*whole, *oracle.generate(chunk));
+    expect_slices_match(store, chunk, *whole);
+  }
+  // Unknown chunks: no size and no slice.
+  std::vector<uint8_t> slice(16);
+  EXPECT_FALSE(store.chunk_size({9, 0}).has_value());
+  EXPECT_FALSE(store.read_range({9, 0}, 0, slice));
+  EXPECT_FALSE(store.read_range({0, 5}, 0, slice));
+}
+
+TEST(ChunkStore, MaterializedSlicesMatchWrittenBytes) {
+  ChunkStore store(unthrottled());
+  const auto data = patterned(kSliceChunk, 3);
+  store.write({1, 1}, data);
+  const auto whole = store.read({1, 1});
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(*whole, data);
+  expect_slices_match(store, {1, 1}, data);
+}
+
+TEST(ChunkStore, FileBackedSlicesMatchWrittenBytes) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "fastpr_store_slice_test";
+  std::filesystem::remove_all(dir);
+  ChunkStore::Options opts;
+  opts.directory = dir;
+  ChunkStore store(opts);
+  const auto data = patterned(kSliceChunk, 5);
+  store.write({4, 2}, data);
+  const auto whole = store.read({4, 2});
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(*whole, data);
+  expect_slices_match(store, {4, 2}, data);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ChunkStore, ReadErrorFailsSizeQueryAndSlices) {
+  const ec::RsCode code(5, 3);
+  const SyntheticOracle oracle(code, kSliceChunk, 4, 11);
+  ChunkStore store(unthrottled(), &oracle);
+  store.write({0, 1}, patterned(kSliceChunk, 7));
+  std::vector<uint8_t> slice(kPacket);
+  for (const ChunkRef chunk : {ChunkRef{0, 1}, ChunkRef{2, 4}}) {
+    // An error injected after the first slice fails the next one.
+    ASSERT_TRUE(store.chunk_size(chunk).has_value());
+    ASSERT_TRUE(store.read_range(chunk, 0, slice));
+    store.inject_read_error(chunk);
+    EXPECT_FALSE(store.read_range(chunk, kPacket, slice));
+    EXPECT_FALSE(store.chunk_size(chunk).has_value());
+    EXPECT_TRUE(store.contains(chunk));  // error injection aside
+    store.clear_read_errors();
+    EXPECT_TRUE(store.read_range(chunk, kPacket, slice));
+  }
+}
+
+TEST(ChunkStore, OutOfRangeSliceFailsCheck) {
+  const ec::RsCode code(5, 3);
+  const SyntheticOracle oracle(code, kSliceChunk, 4, 11);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "fastpr_store_range_test";
+  std::filesystem::remove_all(dir);
+  ChunkStore::Options file_opts;
+  file_opts.directory = dir;
+  ChunkStore files(file_opts);
+  files.write({0, 0}, patterned(kSliceChunk, 9));
+  ChunkStore store(unthrottled(), &oracle);
+  store.write({0, 0}, patterned(kSliceChunk, 9));
+
+  std::vector<uint8_t> slice(kPacket);
+  const std::span<uint8_t> tail(slice.data(), 1001);  // one byte too many
+  const uint64_t last = 3 * kPacket;
+  const std::pair<const ChunkStore*, ChunkRef> cases[] = {
+      {&store, {0, 0}},  // materialized
+      {&store, {1, 0}},  // oracle data
+      {&store, {1, 4}},  // oracle parity
+      {&files, {0, 0}},  // file-backed
+  };
+  for (const auto& [s, chunk] : cases) {
+    EXPECT_TRUE(s->read_range(chunk, last, tail.first(1000)));
+    EXPECT_THROW(s->read_range(chunk, last, tail), CheckFailure);
+    EXPECT_THROW(s->read_range(chunk, kSliceChunk + 1, tail.first(0)),
+                 CheckFailure);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -172,5 +172,77 @@ TEST(Message, EncodedSizeTracksFields) {
   EXPECT_EQ(m.encoded_size(), base + 103 + 13);
 }
 
+/// Messages that exercise every variable section: 0 and 3 sources, an
+/// empty and a non-empty error, and payloads of 0, 1 and 256 KiB + 7
+/// bytes.
+std::vector<Message> variable_section_messages() {
+  std::vector<Message> out;
+  for (size_t payload : {size_t{0}, size_t{1}, size_t{256 * kKiB + 7}}) {
+    for (bool with_sources : {false, true}) {
+      Message m = sample_message();
+      if (!with_sources) m.sources.clear();
+      m.error = with_sources ? "read error on node 4" : "";
+      m.payload.assign(payload, 0);
+      for (size_t i = 0; i < payload; ++i) {
+        m.payload[i] = static_cast<uint8_t>(i * 131 + 7);
+      }
+      out.push_back(std::move(m));
+    }
+  }
+  return out;
+}
+
+TEST(Message, HeaderThenPayloadEqualsSerialize) {
+  // The TCP send path writes serialize_header() and the payload with one
+  // gather write; those bytes must be exactly serialize()'s.
+  for (const Message& m : variable_section_messages()) {
+    auto joined = serialize_header(m);
+    EXPECT_EQ(joined.size(), m.encoded_size() - m.payload.size());
+    joined.insert(joined.end(), m.payload.begin(), m.payload.end());
+    EXPECT_EQ(joined, serialize(m)) << "payload " << m.payload.size()
+                                    << ", sources " << m.sources.size();
+  }
+}
+
+TEST(Message, HeaderParserSplitsFrame) {
+  for (const Message& m : variable_section_messages()) {
+    const auto bytes = serialize(m);
+    const auto layout = frame_layout(bytes, bytes.size());
+    ASSERT_TRUE(layout.has_value());
+    EXPECT_EQ(layout->payload_bytes, m.payload.size());
+    EXPECT_EQ(layout->header_bytes, bytes.size() - m.payload.size());
+    auto parsed = parse_header(
+        std::span<const uint8_t>(bytes).first(layout->header_bytes),
+        bytes.size());
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_TRUE(parsed->payload.empty());
+    parsed->payload.assign(bytes.data() + layout->header_bytes,
+                           layout->payload_bytes);
+    EXPECT_TRUE(equal(m, *parsed));
+  }
+}
+
+TEST(Message, HeaderParserRejectsPayloadLengthMismatch) {
+  Message m = sample_message();
+  m.payload.assign(100, 0x11);
+  const auto header = serialize_header(m);
+  const size_t frame_len = header.size() + m.payload.size();
+  ASSERT_TRUE(parse_header(header, frame_len).has_value());
+  // The declared payload length must account for exactly the frame's
+  // bytes after the header.
+  for (size_t wrong : {frame_len - 1, frame_len + 1, header.size()}) {
+    EXPECT_FALSE(frame_layout(header, wrong).has_value()) << wrong;
+    EXPECT_FALSE(parse_header(header, wrong).has_value()) << wrong;
+  }
+  // A header shorter or longer than the one it declares is rejected too.
+  const std::span<const uint8_t> whole(header);
+  EXPECT_FALSE(parse_header(whole.first(header.size() - 1), frame_len));
+  auto longer = header;
+  longer.push_back(0);
+  EXPECT_FALSE(parse_header(longer, frame_len + 1).has_value());
+  // Too short to hold the fixed header at all.
+  EXPECT_FALSE(frame_layout(whole.first(kFixedHeaderBytes - 1), frame_len));
+}
+
 }  // namespace
 }  // namespace fastpr::net

@@ -1,6 +1,10 @@
 // Transports: delivery, ordering, shutdown semantics, bandwidth shaping
 // timing, and TCP-over-loopback equivalence.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <thread>
@@ -164,6 +168,86 @@ TEST(TcpTransport, ManyNodesBootAndStop) {
   TcpTransport t(25, opts);
   t.send(control(24, 0));
   ASSERT_TRUE(t.recv(0, std::chrono::milliseconds(2000)).has_value());
+  t.shutdown();
+}
+
+TEST(TcpTransport, VariableSectionsRoundTrip) {
+  // The wire carries a gather-written header + payload and the reader
+  // parses the header before reading the payload into its buffer: every
+  // field must survive, including a 4 MiB + 3 byte payload that takes
+  // several partial writev()/read() calls.
+  std::vector<Message> sent;
+  for (size_t payload : {size_t{0}, size_t{1}, size_t{256 * kKiB + 7},
+                         size_t{4 * kMiB + 3}}) {
+    for (bool with_sources : {false, true}) {
+      Message m = control(0, 1, MessageType::kChainCmd);
+      m.trace.trace_id = 0x1122334455667788ULL;
+      m.chunk = {42, 7};
+      m.hop = 2;
+      if (with_sources) {
+        m.sources = {{1, {42, 0}, 10}, {2, {42, 1}, 20}, {4, {42, 3}, 0}};
+        m.error = "read error on node 4";
+      }
+      m.payload.assign(payload, 0);
+      for (size_t i = 0; i < payload; ++i) {
+        m.payload[i] = static_cast<uint8_t>(i * 131 + 7);
+      }
+      sent.push_back(std::move(m));
+    }
+  }
+  TcpTransport::Options opts;
+  TcpTransport t(2, opts);
+  for (const Message& m : sent) t.send(m.clone());
+  for (const Message& m : sent) {
+    const auto got = t.recv(1, std::chrono::milliseconds(5000));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(serialize(*got), serialize(m))
+        << "payload " << m.payload.size() << ", sources "
+        << m.sources.size();
+  }
+  t.shutdown();
+}
+
+TEST(TcpTransport, MalformedFramesDropWithoutDesync) {
+  // Frames whose header fails its checks are read to their end and
+  // dropped; the next well-formed frame on the same connection arrives
+  // intact.
+  TcpTransport::Options opts;
+  TcpTransport t(2, opts);
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(t.port(1));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const auto write_frame = [&](const std::vector<uint8_t>& body) {
+    const auto len = static_cast<uint32_t>(body.size());
+    ASSERT_EQ(::write(fd, &len, sizeof(len)), ssize_t{sizeof(len)});
+    ASSERT_EQ(::write(fd, body.data(), body.size()),
+              static_cast<ssize_t>(body.size()));
+  };
+
+  Message good = data_packet(0, 1, 3000);
+  good.task_id = 77;
+  for (size_t i = 0; i < good.payload.size(); ++i) {
+    good.payload[i] = static_cast<uint8_t>(i * 7);
+  }
+  auto bad_type = serialize(good);
+  bad_type[0] = 99;
+  write_frame(bad_type);
+  auto short_payload = serialize(good);  // declares 3000, carries 2999
+  short_payload.pop_back();
+  write_frame(short_payload);
+  write_frame(std::vector<uint8_t>(10, 0xAB));  // shorter than a header
+  write_frame(serialize(good));
+
+  const auto got = t.recv(1, std::chrono::milliseconds(2000));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(serialize(*got), serialize(good));
+  EXPECT_FALSE(t.recv(1, std::chrono::milliseconds(50)).has_value());
+  ::close(fd);
   t.shutdown();
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <set>
 #include <utility>
 #include <vector>
@@ -309,14 +310,44 @@ TEST(Table, FmtPrecision) {
 }
 
 TEST(Crc32c, KnownVectors) {
-  // RFC 3720 / common test vectors for CRC-32C.
-  const uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc32c(std::span<const uint8_t>(digits, 9)), 0xE3069283u);
-  std::vector<uint8_t> zeros(32, 0);
-  EXPECT_EQ(crc32c(zeros), 0x8A9136AAu);
-  std::vector<uint8_t> ffs(32, 0xFF);
-  EXPECT_EQ(crc32c(ffs), 0x62A8AB43u);
-  EXPECT_EQ(crc32c(std::span<const uint8_t>()), 0u);
+  // RFC 3720 / common test vectors for CRC-32C, on the dispatched path
+  // (hardware where the CPU has SSE4.2) and on the portable one.
+  for (auto* crc : {&crc32c, &crc32c_portable}) {
+    const uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+    EXPECT_EQ(crc(std::span<const uint8_t>(digits, 9), 0), 0xE3069283u);
+    std::vector<uint8_t> zeros(32, 0);
+    EXPECT_EQ(crc(zeros, 0), 0x8A9136AAu);
+    std::vector<uint8_t> ffs(32, 0xFF);
+    EXPECT_EQ(crc(ffs, 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(std::span<const uint8_t>(), 0), 0u);
+  }
+}
+
+TEST(Crc32c, HardwarePathMatchesPortable) {
+  // crc32c() dispatches to the SSE4.2 instruction when the host has it
+  // (on other hosts both calls run the portable code and this test only
+  // checks the dispatch). Random lengths 0..4100, misaligned starts and
+  // chained seeds.
+  std::printf("crc32c hardware path: %s\n",
+              crc32c_hardware() ? "sse4.2" : "absent (portable only)");
+  Rng rng(2024);
+  std::vector<uint8_t> data(4100 + 16);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.uniform(0, 255));
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto start = static_cast<size_t>(rng.uniform(0, 15));
+    const auto len = static_cast<size_t>(rng.uniform(0, 4100));
+    const uint32_t seed =
+        trial % 2 == 0 ? 0u
+                       : static_cast<uint32_t>(rng.uniform(0, 0xffffffffLL));
+    const std::span<const uint8_t> bytes(data.data() + start, len);
+    ASSERT_EQ(crc32c(bytes, seed), crc32c_portable(bytes, seed))
+        << "start " << start << " len " << len << " seed " << seed;
+    // Chained: the checksum of a split buffer equals the one-shot value.
+    const size_t cut = len == 0 ? 0 : static_cast<size_t>(rng.uniform(
+                                           0, static_cast<int64_t>(len)));
+    ASSERT_EQ(crc32c(bytes.subspan(cut), crc32c(bytes.first(cut), seed)),
+              crc32c_portable(bytes, seed));
+  }
 }
 
 TEST(Crc32c, StreamingMatchesOneShot) {
